@@ -18,11 +18,23 @@ import numpy as np
 
 from . import io as cio
 from .curvature import build_model
-from .errors import CurvlabError, InputFormatError, MathematicalRejection, ParseError
+from .errors import (
+    CurvlabError,
+    InputFormatError,
+    MathematicalRejection,
+    NonPositiveTolerance,
+    ParseError,
+)
 from .isotropy import recover_decomposition
 from .kahler import Case1, Case2, Case3, classify_kahler
 from .lemmas import run_suite
-from .linalg import DEFAULT_TOL, random_skew, require_complex_structure, standard_complex_structure
+from .linalg import (
+    DEFAULT_TOL,
+    random_skew,
+    require_complex_structure,
+    require_tol,
+    standard_complex_structure,
+)
 from .sphere import fit_skew_from_samples
 
 EXIT_OK = 0
@@ -32,14 +44,15 @@ EXIT_REJECTED = 2
 
 def _resolve_tol(flag_value: float | None) -> float:
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get("CURVLAB_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ParseError(f"CURVLAB_TOL is not a number: {env!r}") from exc
-    return DEFAULT_TOL
+        source, raw = "--tol", flag_value
+    else:
+        source, raw = "CURVLAB_TOL", os.environ.get("CURVLAB_TOL")
+        if raw is None:
+            return DEFAULT_TOL
+    try:
+        return require_tol(raw)
+    except NonPositiveTolerance as exc:
+        raise ParseError(f"{source} must be a finite positive number, got {raw!r}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConventionViolation,
     DimensionMismatch,
+    NonFiniteComponents,
     NotOrthonormal,
 )
 from .linalg import (
@@ -39,7 +40,9 @@ class CurvatureTensor:
 
     Construction does not enforce the curvature symmetries; use
     :func:`validate_symmetries` to measure them.  This keeps deliberately
-    perturbed tensors constructible for testing and validation.
+    perturbed tensors constructible for testing and validation.  Non-finite
+    components are rejected with ``NonFiniteComponents``, since a NaN
+    residual would pass every tolerance comparison.
     """
 
     dim: int
@@ -53,6 +56,8 @@ class CurvatureTensor:
             raise ValueError(
                 f"components must have shape {(self.dim,) * 4}, got {c.shape}"
             )
+        if not np.isfinite(c).all():
+            raise NonFiniteComponents("components must be finite (found NaN or inf)")
         object.__setattr__(self, "components", c)
 
     @classmethod
@@ -167,6 +172,10 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
     Each residual is the largest absolute violation of the corresponding
     identity over all index quadruples.  The Kahler residual compares
     R(x, y)z against R(Jx, Jy)z and is computed only when ``j`` is given.
+
+    The base residuals cost O(d^4).  The Kahler residual rotates the first
+    two slots by J with two matrix products, one over each slot, which
+    costs O(d^5) time and O(d^4) memory for any orthogonal ``j``.
     """
     c = r.components
     anti = float(np.max(np.abs(c + c.transpose(1, 0, 2, 3))))
@@ -181,8 +190,13 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
             raise DimensionMismatch(
                 f"complex structure is {j.shape[0]}-dimensional, tensor is {r.dim}"
             )
-        rotated = np.einsum("ai,bj,abkl->ijkl", j, j, c)
-        kahler = float(np.max(np.abs(c - rotated)))
+        d = r.dim
+        # rotated[i, j, kl] = sum_ab J[a, i] J[b, j] c[a, b, kl] as two GEMMs:
+        # first over a, then over b batched across i
+        half = (j.T @ c.reshape(d, d**3)).reshape(d, d, d * d)
+        rotated = np.matmul(j.T, half)
+        np.subtract(c.reshape(d, d, d * d), rotated, out=rotated)
+        kahler = float(np.max(np.abs(rotated, out=rotated)))
     return SymmetryReport(anti, pair, bianchi, kahler)
 
 

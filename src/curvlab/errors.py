@@ -36,6 +36,10 @@ class SymmetryViolation(InputFormatError):
     """Component array fails a curvature symmetry; the message names it."""
 
 
+class NonFiniteComponents(InputFormatError):
+    """Component array contains NaN or infinite entries."""
+
+
 class EmptySamples(InputFormatError):
     """Sample set contains no tangent vectors to fit against."""
 
@@ -89,7 +93,7 @@ class NonOrthonormalBasis(CurvlabError):
 
 
 class NonPositiveTolerance(CurvlabError):
-    """Tolerance arguments must be strictly positive."""
+    """Tolerance arguments must be finite and strictly positive."""
 
 
 class NotUnit(CurvlabError):

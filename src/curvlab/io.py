@@ -15,7 +15,7 @@ import numpy as np
 
 from .curvature import CurvatureTensor, validate_symmetries
 from .errors import ParseError, SchemaVersionUnsupported, SymmetryViolation
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, require_tol
 from .sphere import DistributionSamples
 
 TENSOR_SCHEMA_VERSION = 1
@@ -60,6 +60,7 @@ def save_tensor(r: CurvatureTensor, path) -> None:
 
 def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     """Load and validate a tensor file; symmetry failures name the identity."""
+    tol = require_tol(tol)
     data = _read_json(path)
     version = data.get("schema_version")
     if version != TENSOR_SCHEMA_VERSION:

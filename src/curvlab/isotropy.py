@@ -29,6 +29,7 @@ from .linalg import (
     Subspace,
     canonical_sign_columns,
     canonical_sign_matrix,
+    require_tol,
     require_unit,
     scale_of,
     symmetric_spectrum,
@@ -156,6 +157,7 @@ def almost_isotropy_scan(
     isotropic, with kappa estimated best-effort, so that broken inputs
     still produce a diagnosable report.
     """
+    tol = require_tol(tol)
     d = r.dim
     if n_samples is None:
         n_samples = max(2 * d, 12)
@@ -324,6 +326,7 @@ def recover_decomposition(
     mixed-direction probes across disjoint blocks; canonicalize the global
     sign; verify the reconstruction residual.
     """
+    tol = require_tol(tol)
     d = r.dim
     try:
         report = almost_isotropy_scan(r, n_samples, seed, tol)

@@ -36,6 +36,7 @@ from .linalg import (
     require_complex_structure,
     require_orthonormal,
     require_skew,
+    require_tol,
     scale_of,
     symmetric_spectrum,
 )
@@ -177,6 +178,7 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
     are violated (which signals the input is not a genuine Kahler almost
     isotropic tensor even though both screens passed numerically).
     """
+    tol = require_tol(tol)
     j = require_complex_structure(j)
     report = validate_symmetries(r, j)
     scale = max(1.0, r.max_abs)

@@ -132,10 +132,20 @@ def symmetric_spectrum(s) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, canonical_sign_columns(vectors)
 
 
+def require_tol(tol) -> float:
+    """Validate a tolerance argument: finite and strictly positive."""
+    try:
+        value = float(tol)
+    except (TypeError, ValueError) as exc:
+        raise NonPositiveTolerance(f"tolerance must be a number, got {tol!r}") from exc
+    if not (np.isfinite(value) and value > 0):
+        raise NonPositiveTolerance(f"tolerance must be finite and positive, got {tol!r}")
+    return value
+
+
 def rank_with_tol(mat, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol * max(1, largest singular value)``."""
-    if tol <= 0:
-        raise NonPositiveTolerance(f"tolerance must be positive, got {tol!r}")
+    tol = require_tol(tol)
     mat = np.asarray(mat, dtype=float)
     singular = np.linalg.svd(mat, compute_uv=False)
     if singular.size == 0:
@@ -177,10 +187,14 @@ def random_skew(d: int, seed: int = 0) -> np.ndarray:
 
 
 def null_space(mat, tol: float = DEFAULT_TOL) -> "Subspace":
-    """Orthonormal basis of the kernel at relative tolerance ``tol``."""
+    """Orthonormal basis of the kernel at relative tolerance ``tol``.
+
+    A tall matrix takes the thin SVD, whose right factor is already the
+    full n x n; the left factor then stays m x n instead of m x m.
+    """
     mat = np.asarray(mat, dtype=float)
-    n = mat.shape[1]
-    _, singular, vt = np.linalg.svd(mat, full_matrices=True)
+    m, n = mat.shape
+    _, singular, vt = np.linalg.svd(mat, full_matrices=m < n)
     top = float(singular[0]) if singular.size else 0.0
     rank = int(np.sum(singular > tol * max(1.0, top)))
     kernel = canonical_sign_columns(vt[rank:].T)

@@ -110,3 +110,15 @@ def diagonal_plane_tensor(d, plane_curvatures):
     for (i, j), value in plane_curvatures.items():
         comp += value * plane_tensor(d, i, j)
     return comp
+
+
+def oracle_kahler_rotation(components, j):
+    """<R(J e_i, J e_j)e_k, e_l> by summing over both rotated slots."""
+    d = components.shape[0]
+    out = np.zeros((d, d, d, d))
+    for i in range(d):
+        for jj in range(d):
+            for a in range(d):
+                for b in range(d):
+                    out[i, jj] += j[a, i] * j[b, jj] * components[a, b]
+    return out

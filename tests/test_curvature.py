@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,8 @@ from curvlab import (
     ConventionViolation,
     CurvatureTensor,
     DimensionMismatch,
+    InputFormatError,
+    NonFiniteComponents,
     NotOrthonormal,
     NotSkew,
     NotUnit,
@@ -25,15 +30,22 @@ from curvlab import (
     unit_sphere_samples,
     validate_symmetries,
 )
-from curvlab.models import plane_operator, quaternion_j, two_plane_operator
+from curvlab.models import case4_instance, plane_operator, quaternion_j, two_plane_operator
 
 from _oracles import (
     oracle_jacobi,
+    oracle_kahler_rotation,
     oracle_r1_components,
     oracle_ra_components,
     oracle_ricci,
     oracle_sectional,
 )
+
+
+def rotated_complex_structure(d, seed):
+    """Q J_std Q^T for a seeded random orthogonal Q: a J with no zero entries."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q @ standard_complex_structure(d) @ q.T
 
 
 def block_model_4d():
@@ -173,6 +185,36 @@ class TestValidateSymmetries:
         with pytest.raises(DimensionMismatch):
             validate_symmetries(build_r1(4), standard_complex_structure(6))
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_kahler_residual_matches_oracle(self, d, noise):
+        j = rotated_complex_structure(d, seed=d)
+        comp = build_model(1.0, 1, j).components
+        comp = comp + noise * np.random.default_rng(d + 1).standard_normal(comp.shape)
+        report = validate_symmetries(CurvatureTensor(d, comp), j)
+        expected = float(np.max(np.abs(comp - oracle_kahler_rotation(comp, j))))
+        assert abs(report.kahler_residual - expected) <= 1e-13
+        if noise:
+            assert report.kahler_residual > noise
+        else:
+            assert report.kahler_residual <= 1e-13
+
+    def test_bitwise_deterministic(self):
+        j = rotated_complex_structure(8, seed=3)
+        comp = build_model(-1.0, -1, j).components
+        comp = comp + 1e-6 * np.random.default_rng(4).standard_normal(comp.shape)
+        tensor = CurvatureTensor(8, comp)
+        assert validate_symmetries(tensor, j) == validate_symmetries(tensor, j)
+
+    def test_kahler_check_runtime_d48(self):
+        j = rotated_complex_structure(48, seed=48)
+        model = build_model(1.0, 1, j)
+        start = time.perf_counter()
+        report = validate_symmetries(model, j)
+        elapsed = time.perf_counter() - start
+        assert report.kahler_residual < 1e-12
+        assert elapsed < 1.0, f"validate_symmetries with J took {elapsed:.2f}s at d=48"
+
 
 class TestJacobiOperator:
     def test_requires_unit_vector(self):
@@ -264,6 +306,19 @@ class TestNullity:
         zero = CurvatureTensor(3, np.zeros((3, 3, 3, 3)))
         assert nullity_space(zero).dimension == 3
 
+    def test_flat_case_d32_memory(self):
+        # the d^3 x d unfolding must not grow a d^3 x d^3 SVD factor (8 GiB here)
+        instance = case4_instance(32, 1.5, seed=5)
+        tracemalloc.start()
+        try:
+            space = nullity_space(instance["tensor"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.dimension == 30
+        assert space.angle_to(instance["w"].complement()) < 1e-8
+        assert peak < 64 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
 
 class TestHolomorphicSectional:
     def test_space_form_constant_four_kappa(self):
@@ -310,3 +365,17 @@ class TestBergerCheck:
     def test_requires_orthonormal_frame(self):
         with pytest.raises(NotOrthonormal):
             berger_check(build_r1(4), [np.eye(4)[0]] * 4, 0.0, 1.0)
+
+
+class TestNonFiniteComponents:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_on_construction(self, bad):
+        comp = build_r1(4).components.copy()
+        comp[0, 1, 1, 0] = bad
+        with pytest.raises(NonFiniteComponents):
+            CurvatureTensor(4, comp)
+        assert issubclass(NonFiniteComponents, InputFormatError)
+
+    def test_arithmetic_cannot_produce_nan(self):
+        with pytest.raises(NonFiniteComponents):
+            build_r1(4) * float("nan")

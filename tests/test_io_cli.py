@@ -7,6 +7,7 @@ import pytest
 
 from curvlab import (
     DistributionSamples,
+    NonPositiveTolerance,
     ParseError,
     SchemaVersionUnsupported,
     SymmetryViolation,
@@ -98,6 +99,13 @@ class TestTensorFiles:
         with pytest.raises(ParseError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_bad_tolerance_rejected(self, tmp_path, tol):
+        path = tmp_path / "tensor.json"
+        save_tensor(build_r1(4), path)
+        with pytest.raises(NonPositiveTolerance):
+            load_tensor(path, tol)
+
 
 class TestSamplesFiles:
     def test_roundtrip(self, tmp_path):
@@ -185,6 +193,25 @@ class TestCliContract:
         assert strict.returncode == 2
         loose = run_cli("classify", str(path), env={"CURVLAB_TOL": "2.0"})
         assert loose.returncode == 0
+
+    @pytest.mark.parametrize(
+        "args, env, source",
+        [
+            (("--tol", "0"), None, "--tol"),
+            (("--tol=-1e-9",), None, "--tol"),
+            (("--tol", "nan"), None, "--tol"),
+            ((), {"CURVLAB_TOL": "-1"}, "CURVLAB_TOL"),
+            ((), {"CURVLAB_TOL": "0"}, "CURVLAB_TOL"),
+            ((), {"CURVLAB_TOL": "abc"}, "CURVLAB_TOL"),
+        ],
+    )
+    def test_bad_tolerance_exits_one(self, tmp_path, args, env, source):
+        path = tmp_path / "space_form.json"
+        save_tensor(build_model(1.0, 1, standard_complex_structure(4)), path)
+        result = run_cli("classify", str(path), *args, env=env)
+        assert result.returncode == 1
+        assert f"{source} must be a finite positive number" in result.stderr
+        assert result.stdout == ""
 
     def test_fit_distribution_cli(self, tmp_path):
         j = standard_complex_structure(4)

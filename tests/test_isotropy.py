@@ -8,6 +8,7 @@ from curvlab import (
     InconsistentKappa,
     InconsistentTau,
     NoDominantEigenvalue,
+    NonPositiveTolerance,
     NotAlmostIsotropic,
     Subspace,
     almost_isotropy_scan,
@@ -40,6 +41,13 @@ def skew_match(recovered, expected):
         float(np.max(np.abs(recovered - expected))),
         float(np.max(np.abs(recovered + expected))),
     )
+
+
+@pytest.mark.parametrize("entry", [almost_isotropy_scan, recover_decomposition])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tolerance_rejected(entry, tol):
+    with pytest.raises(NonPositiveTolerance):
+        entry(build_model(1.0, 1, standard_complex_structure(4)), tol=tol)
 
 
 class TestKappaAt:

@@ -9,6 +9,7 @@ from curvlab import (
     Case3,
     Case4,
     CurvatureTensor,
+    NonPositiveTolerance,
     NotKahler,
     Subspace,
     SymmetryViolation,
@@ -152,6 +153,14 @@ class TestClassifyKahler:
         comp[0, 1, 2, 3] += 0.1
         with pytest.raises(SymmetryViolation):
             classify_kahler(CurvatureTensor(4, comp), standard_complex_structure(4))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # checked before any residual, so an exact model is not misreported
+        # as a symmetry violation
+        j = standard_complex_structure(4)
+        with pytest.raises(NonPositiveTolerance):
+            classify_kahler(build_model(1.0, 1, j), j, tol)
 
     @given(seed=st.integers(0, 2_000))
     def test_case2_roundtrip_property(self, seed):
