@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: generate, classify, decompose, fit-distribution, lemma-suite.
-Exit codes: 0 success, 1 unreadable or malformed input, 2 mathematical
-rejection (not almost isotropic, not Kahler, broken convention or
-structure).  The environment variable CURVLAB_TOL overrides the default
-tolerance of 1e-9; a --tol flag overrides both.
+Exit codes: 0 success, 1 unreadable or malformed input (usage errors
+included), 2 mathematical rejection (not almost isotropic, not Kahler,
+broken convention or structure).  The environment variable CURVLAB_TOL
+overrides the default tolerance of 1e-9; a --tol flag overrides both.
 """
 
 from __future__ import annotations
@@ -212,8 +212,16 @@ def cmd_lemma_suite(args) -> int:
     return EXIT_OK if all_passed else EXIT_REJECTED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as malformed input (exit 1), not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvlab",
         description="Construct, validate, decompose, and classify almost isotropic "
         "algebraic curvature tensors; fit skew classes to sphere distribution samples.",

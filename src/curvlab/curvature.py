@@ -201,15 +201,22 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
 
 
 def jacobi_operator(r: CurvatureTensor, v) -> np.ndarray:
-    """The symmetric matrix of w -> R(w, v)v for unit v.
+    """The symmetric matrix of w -> R(w, v)v for unit v; a stack for rows v.
 
-    Returned as a full d x d matrix with v in its kernel; restrict to the
-    hyperplane v-perp before reading off rank or multiplicities.
+    v of shape (d,) gives a d x d matrix, unit rows of shape (n, d) give
+    (n, d, d).  Each matrix has v in its kernel; restrict to the hyperplane
+    v-perp before reading off rank or multiplicities.  Entry [l, i] is
+    sum_jk R[i, j, k, l] v_j v_k: one matmul of the rows v (x) v against the
+    view R.reshape(d, d*d, d), in O(n d^4) time without copying R.
     """
     v = require_unit(v)
-    if v.shape != (r.dim,):
-        raise DimensionMismatch(f"vector has shape {v.shape}, tensor dim {r.dim}")
-    return np.einsum("ijkl,j,k->li", r.components, v, v)
+    d = r.dim
+    if v.ndim not in (1, 2) or v.shape[-1] != d:
+        raise DimensionMismatch(f"vector has shape {v.shape}, tensor dim {d}")
+    rows = v.reshape(-1, d)
+    outer = (rows[:, :, None] * rows[:, None, :]).reshape(-1, d * d)
+    stack = np.matmul(outer, r.components.reshape(d, d * d, d)).transpose(1, 2, 0)
+    return stack if v.ndim == 2 else stack[0]
 
 
 def sectional_curvature(r: CurvatureTensor, v, w) -> float:

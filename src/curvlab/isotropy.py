@@ -27,10 +27,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
-    canonical_sign_columns,
     canonical_sign_matrix,
     require_tol,
-    require_unit,
     scale_of,
     symmetric_spectrum,
     unit_sphere_samples,
@@ -80,25 +78,29 @@ class Decomposition:
             raise ValueError("residual must be nonnegative")
 
 
-def _complement_basis(s: np.ndarray) -> np.ndarray:
-    """Columns spanning s-perp (deterministic for identical s)."""
-    return Subspace.span([s]).complement().basis
+def _spectra_on_complement(r: CurvatureTensor, samples) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (n, d-1) and eigenvectors (n, d, d-1) of each J_s on s-perp.
+
+    J_s kills s, so subtracting shift * s s^T, shift above the spectral norm,
+    makes (-shift, s) the lowest eigenpair and leaves the rest in place; that
+    pair is dropped.  The kept eigenvectors are orthogonal to s even when
+    kappa = 0 puts the eigenvalue of s inside the kappa-cluster.
+    """
+    samples = np.asarray(samples, dtype=float)
+    jac = jacobi_operator(r, samples)
+    shift = 1.0 + 2.0 * np.linalg.norm(jac, axis=(1, 2))
+    deflated = jac - shift[:, None, None] * (samples[:, :, None] * samples[:, None, :])
+    eigenvalues, vectors = symmetric_spectrum(deflated)
+    return eigenvalues[:, 1:], vectors[:, :, 1:]
 
 
-def _jacobi_eigs_on_complement(r: CurvatureTensor, s: np.ndarray):
-    """Eigendata of the Jacobi operator restricted to the hyperplane s-perp."""
-    q = _complement_basis(s)
-    restricted = q.T @ jacobi_operator(r, s) @ q
-    eigenvalues, vectors = symmetric_spectrum(restricted)
-    return eigenvalues, vectors, q
-
-
-def _tightest_window(eigenvalues: np.ndarray, size: int) -> tuple[int, float]:
-    """Start index and width of the tightest window of ``size`` sorted values."""
-    starts = len(eigenvalues) - size + 1
-    widths = [eigenvalues[i + size - 1] - eigenvalues[i] for i in range(starts)]
-    best = int(np.argmin(widths))
-    return best, float(widths[best])
+def _tightest_windows(spectra: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of sorted values: mean and width of the tightest ``size``-window."""
+    windows = np.lib.stride_tricks.sliding_window_view(spectra, size, axis=1)
+    widths = windows[:, :, -1] - windows[:, :, 0]
+    best = np.argmin(widths, axis=1)
+    rows = np.arange(spectra.shape[0])
+    return windows[rows, best].mean(axis=1), widths[rows, best]
 
 
 def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, int]:
@@ -114,16 +116,15 @@ def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, in
             "kappa is ambiguous at a single sample in dimension 3; "
             "use almost_isotropy_scan"
         )
-    s = require_unit(s)
-    eigenvalues, _, _ = _jacobi_eigs_on_complement(r, s)
+    (eigenvalues,), _ = _spectra_on_complement(r, [s])
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
     size = max(1, r.dim - 2)
-    start, width = _tightest_window(eigenvalues, size)
-    if width > tol * scale:
+    centers, widths = _tightest_windows(eigenvalues[None], size)
+    if widths[0] > tol * scale:
         raise NoDominantEigenvalue(
-            f"no eigenvalue cluster of size {size}: tightest width {width:.3e}"
+            f"no eigenvalue cluster of size {size}: tightest width {widths[0]:.3e}"
         )
-    kappa_s = float(np.mean(eigenvalues[start:start + size]))
+    kappa_s = float(centers[0])
     multiplicity = int(np.sum(np.abs(eigenvalues - kappa_s) <= tol * scale))
     return kappa_s, multiplicity
 
@@ -163,26 +164,16 @@ def almost_isotropy_scan(
         n_samples = max(2 * d, 12)
     if n_samples < 1:
         raise ValueError("scan needs at least one sample")
-    samples = unit_sphere_samples(d, n_samples, seed)
-    spectra = np.empty((n_samples, d - 1))
-    for row, s in enumerate(samples):
-        spectra[row], _, _ = _jacobi_eigs_on_complement(r, s)
+    spectra, _ = _spectra_on_complement(r, unit_sphere_samples(d, n_samples, seed))
     scale = max(1.0, float(np.max(np.abs(spectra))))
 
     if d == 3:
         kappa = _consensus_kappa_d3(spectra, tol, scale)
     else:
-        size = max(1, d - 2)
-        clustered = []
-        centers = []
-        for row in range(n_samples):
-            start, width = _tightest_window(spectra[row], size)
-            center = float(np.mean(spectra[row, start:start + size]))
-            centers.append(center)
-            if width <= tol * scale:
-                clustered.append(center)
-        if clustered:
-            spread = max(clustered) - min(clustered)
+        centers, widths = _tightest_windows(spectra, max(1, d - 2))
+        clustered = centers[widths <= tol * scale]
+        if clustered.size:
+            spread = float(clustered.max() - clustered.min())
             if spread > tol * scale:
                 raise InconsistentKappa(
                     f"per-sample constants disagree by {spread:.3e} "
@@ -206,49 +197,39 @@ def almost_isotropy_scan(
 
 def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
     """trace(J_s on s-perp) - (d - 2) kappa: the eigenvalue off the cluster."""
-    s = require_unit(s)
     return float(np.trace(jacobi_operator(r, s)) - (r.dim - 2) * kappa)
 
 
 def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL) -> Subspace:
     """The kappa-eigenspace of the Jacobi operator restricted to s-perp."""
-    s = require_unit(s)
-    eigenvalues, vectors, q = _jacobi_eigs_on_complement(r, s)
+    (eigenvalues,), (vectors,) = _spectra_on_complement(r, [s])
     scale = max(1.0, abs(kappa), float(np.max(np.abs(eigenvalues))))
     keep = np.abs(eigenvalues - kappa) <= tol * scale
-    lifted = q @ vectors[:, keep]
-    return Subspace(r.dim, canonical_sign_columns(lifted))
-
-
-def _deviation_matrix(r: CurvatureTensor, kappa: float, s: np.ndarray) -> np.ndarray:
-    """(J_s - kappa * proj_{s-perp}) / 3; for models this is tau (As)(As)^T."""
-    eye = np.eye(r.dim)
-    return (jacobi_operator(r, s) - kappa * (eye - np.outer(s, s))) / 3.0
+    return Subspace(r.dim, vectors[:, keep])
 
 
 def _column_candidates(r, kappa, tol, scale):
-    """Per basis vector: tau sign and |A e_i| up to sign, from rank-one deviations."""
+    """Per basis vector: tau sign and |A e_i| up to sign, from rank-one deviations.
+
+    On e_i-perp the deviation (J_{e_i} - kappa) / 3 is tau (A e_i)(A e_i)^T
+    for a model, so its largest eigenpair carries the column.
+    """
     d = r.dim
-    eye = np.eye(d)
-    columns = np.zeros((d, d))
-    signs = np.zeros(d)
-    for i in range(d):
-        deviation = _deviation_matrix(r, kappa, eye[i])
-        eigenvalues, vectors = symmetric_spectrum(deviation)
-        order = np.argsort(np.abs(eigenvalues))[::-1]
-        top = eigenvalues[order[0]]
-        if abs(eigenvalues[order[1]]) > tol * scale:
-            raise NotAlmostIsotropic(
-                f"Jacobi deviation at basis vector {i} has rank above one "
-                f"(second eigenvalue {eigenvalues[order[1]]:.3e})"
-            )
-        if abs(top) <= tol * scale:
-            continue  # basis vector sits in the kernel of A
-        signs[i] = np.sign(top)
-        column = np.sqrt(abs(top)) * vectors[:, order[0]]
-        column[i] = 0.0  # A e_i is orthogonal to e_i for skew A
-        columns[:, i] = column
-    return columns, signs
+    eigenvalues, vectors = _spectra_on_complement(r, np.eye(d))
+    deviations = (eigenvalues - kappa) / 3.0
+    order = np.argsort(np.abs(deviations), axis=1)
+    ranked = np.take_along_axis(deviations, order, axis=1)
+    bad = np.flatnonzero(np.any(np.abs(ranked[:, :-1]) > tol * scale, axis=1))
+    if bad.size:
+        raise NotAlmostIsotropic(
+            f"Jacobi deviation at basis vector {bad[0]} has rank above one "
+            f"(second eigenvalue {ranked[bad[0], -2]:.3e})"
+        )
+    top = ranked[:, -1]
+    present = np.abs(top) > tol * scale  # basis vectors in ker(A) give no column
+    columns = np.sqrt(np.abs(top) * present) * vectors[np.arange(d), :, order[:, -1]].T
+    np.fill_diagonal(columns, 0.0)  # A e_i is orthogonal to e_i for skew A
+    return columns, np.where(present, np.sign(top), 0.0)
 
 
 def _sign_components(columns: np.ndarray, nonzero: np.ndarray, theta: float):
@@ -291,24 +272,22 @@ def _merge_components_by_probes(r, kappa, tau, columns, eps, components):
     mixed terms differ, so exact data always discriminates.
     """
     norms = np.linalg.norm(columns, axis=0)
-    anchor = list(components[0])
-    for component in components[1:]:
-        i = max(anchor, key=lambda idx: norms[idx])
-        j = max(component, key=lambda idx: norms[idx])
-        s = np.zeros(columns.shape[0])
-        s[i] = 1.0
-        s[j] = 1.0
-        s /= np.linalg.norm(s)
-        observed = _deviation_matrix(r, kappa, s)
-        residuals = {}
+    heads = [max(component, key=lambda idx: norms[idx]) for component in components]
+    # component k is probed from the largest column of components 0..k-1
+    anchors = [max(heads[:k], key=lambda idx: norms[idx]) for k in range(1, len(heads))]
+    eye = np.eye(columns.shape[0])
+    probes = (eye[anchors] + eye[heads[1:]]) / np.sqrt(2.0)
+    # (J_s - kappa * proj_{s-perp}) / 3; for models this is tau (As)(As)^T
+    ambient = eye - probes[:, :, None] * probes[:, None, :]
+    observed = (jacobi_operator(r, probes) - kappa * ambient) / 3.0
+    # eps[i] may have flipped in an earlier merge, so merge in order
+    for i, j, deviation, component in zip(anchors, heads[1:], observed, components[1:]):
+        residuals = []
         for relative in (1.0, -1.0):
             a_s = (eps[i] * columns[:, i] + relative * eps[j] * columns[:, j]) / np.sqrt(2.0)
-            residuals[relative] = float(np.max(np.abs(observed - tau * np.outer(a_s, a_s))))
-        best = 1.0 if residuals[1.0] <= residuals[-1.0] else -1.0
-        if best < 0:
-            for idx in component:
-                eps[idx] = -eps[idx]
-        anchor.extend(component)
+            residuals.append(float(np.max(np.abs(deviation - tau * np.outer(a_s, a_s)))))
+        if residuals[0] > residuals[1]:
+            eps[component] = -eps[component]
     return eps
 
 

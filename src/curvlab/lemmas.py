@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (
-    build_model,
     jacobi_operator,
     nullity_space,
     ricci,
@@ -29,7 +28,6 @@ from .isotropy import (
 from .kahler import Case2, Case3, classify_kahler, commute_type, einstein_check
 from .linalg import (
     Subspace,
-    projector,
     random_skew,
     rank_with_tol,
     symmetric_spectrum,
@@ -41,6 +39,8 @@ from .models import (
     case3_instance,
     case4_instance,
     quaternion_instance,
+    random_model,
+    unit_orthogonal_to,
 )
 from .sphere import (
     DistributionSamples,
@@ -62,26 +62,13 @@ def _random_subspace(d: int, k: int, rng: np.random.Generator) -> Subspace:
     return Subspace.span(rng.standard_normal((k, d)), dim=d)
 
 
-def _random_model(d: int, rng: np.random.Generator):
-    kappa = float(rng.uniform(-2.0, 2.0))
-    tau = int(rng.choice([-1, 1]))
-    a = random_skew(d, int(rng.integers(1 << 30)))
-    return build_model(kappa, tau, a), kappa, tau, a
-
-
-def _unit_orthogonal_to(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal(s.size)
-    w -= np.dot(w, s) * s
-    return w / np.linalg.norm(w)
-
-
 def check_projector_idempotent(dims, trials, seed) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
         w = _random_subspace(d, int(rng.integers(0, d + 1)), rng)
-        p = projector(w)
+        p = w.projector()
         worst = max(worst, float(np.max(np.abs(p @ p - p))))
     return CheckResult("projector idempotent", worst < 1e-12, f"worst |P^2 - P| = {worst:.2e}")
 
@@ -114,7 +101,7 @@ def check_model_symmetries(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, _, _, _ = _random_model(d, rng)
+        tensor, _, _, _ = random_model(d, rng)
         report = validate_symmetries(tensor)
         worst = max(worst, report.worst_base_residual)
     return CheckResult("model curvature symmetries", worst < 1e-12, f"worst residual = {worst:.2e}")
@@ -126,12 +113,13 @@ def check_jacobi_formula(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, tau, a = _random_model(d, rng)
-        for s in unit_sphere_samples(d, 6, seed + trial):
-            w = _unit_orthogonal_to(s, rng)
+        tensor, kappa, tau, a = random_model(d, rng)
+        samples = unit_sphere_samples(d, 6, seed + trial)
+        for s, jac in zip(samples, jacobi_operator(tensor, samples)):
+            w = unit_orthogonal_to(s, rng)
             image = a @ s
             expected = kappa * w + 3.0 * tau * np.dot(w, image) * image
-            got = jacobi_operator(tensor, s) @ w
+            got = jac @ w
             worst = max(worst, float(np.max(np.abs(got - expected))))
     return CheckResult("Jacobi rank-one form", worst < 1e-10, f"worst deviation = {worst:.2e}")
 
@@ -142,7 +130,7 @@ def check_ricci_formula(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, tau, a = _random_model(d, rng)
+        tensor, kappa, tau, a = random_model(d, rng)
         expected = (d - 1) * kappa * np.eye(d) - 3.0 * tau * (a @ a)
         worst = max(worst, float(np.max(np.abs(ricci(tensor) - expected))))
     return CheckResult("Ricci closed form", worst < 1e-10, f"worst deviation = {worst:.2e}")
@@ -157,7 +145,7 @@ def check_einstein_criterion(dims, trials, seed) -> CheckResult:
         d = dims[trial % len(dims)]
         if d % 2:
             continue
-        tensor, kappa, tau, a = _random_model(d, rng)
+        tensor, kappa, tau, a = random_model(d, rng)
         a2 = a @ a
         multiple = float(np.max(np.abs(a2 - (np.trace(a2) / d) * np.eye(d)))) < 1e-9
         is_einstein, _ = einstein_check(tensor, 1e-9)
@@ -175,13 +163,13 @@ def check_rank_one_deviation(dims, trials, seed) -> CheckResult:
     bad = 0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, _, _ = _random_model(d, rng)
-        for s in unit_sphere_samples(d, 4, seed + trial):
-            q = Subspace.span([s]).complement().basis
-            restricted = q.T @ jacobi_operator(tensor, s) @ q
-            deviation = restricted - kappa * np.eye(d - 1)
-            if rank_with_tol(deviation, 1e-9) > 1:
-                bad += 1
+        tensor, kappa, _, _ = random_model(d, rng)
+        samples = unit_sphere_samples(d, 4, seed + trial)
+        # J_s - kappa * proj_{s-perp}: the s row and column vanish, so the
+        # rank is the rank on s-perp
+        ambient = np.eye(d) - samples[:, :, None] * samples[:, None, :]
+        deviations = jacobi_operator(tensor, samples) - kappa * ambient
+        bad += sum(rank_with_tol(deviation, 1e-9) > 1 for deviation in deviations)
     return CheckResult("Jacobi deviation rank <= 1", bad == 0, f"{bad} rank violations")
 
 
@@ -191,7 +179,7 @@ def check_roundtrip_recovery(dims, trials, seed) -> CheckResult:
     worst_resid = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, tau, _ = _random_model(d, rng)
+        tensor, kappa, tau, _ = random_model(d, rng)
         decomposition = recover_decomposition(tensor)
         worst_kappa = max(worst_kappa, abs(decomposition.kappa - kappa))
         worst_resid = max(worst_resid, decomposition.residual)
@@ -208,7 +196,7 @@ def check_extremal_relation(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, tau, a = _random_model(d, rng)
+        tensor, kappa, tau, a = random_model(d, rng)
         for s in unit_sphere_samples(d, 6, seed + trial):
             lam = extremal_curvature(tensor, kappa, s)
             expected = kappa + 3.0 * tau * float(np.dot(a @ s, a @ s))
@@ -222,11 +210,11 @@ def check_curvature_exchange(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, _, a = _random_model(d, rng)
+        tensor, kappa, _, a = random_model(d, rng)
         for _ in range(5):
             v = rng.standard_normal(d)
             v /= np.linalg.norm(v)
-            w = _unit_orthogonal_to(v, rng)
+            w = unit_orthogonal_to(v, rng)
             lhs = (extremal_curvature(tensor, kappa, v) - kappa) * float(np.dot(a @ w, a @ w))
             rhs = (extremal_curvature(tensor, kappa, w) - kappa) * float(np.dot(a @ v, a @ v))
             scale = max(1.0, abs(lhs), abs(rhs))
@@ -240,16 +228,17 @@ def check_jacobi_projection_form(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, _, a = _random_model(d, rng)
-        for s in unit_sphere_samples(d, 4, seed + trial):
+        tensor, kappa, _, a = random_model(d, rng)
+        samples = unit_sphere_samples(d, 4, seed + trial)
+        for s, jac in zip(samples, jacobi_operator(tensor, samples)):
             image = a @ s
             weight = float(np.dot(image, image))
             if weight < 1e-6:
                 continue
             lam = extremal_curvature(tensor, kappa, s)
-            w = _unit_orthogonal_to(s, rng)
+            w = unit_orthogonal_to(s, rng)
             expected = kappa * w + (lam - kappa) * (np.dot(w, image) / weight) * image
-            got = jacobi_operator(tensor, s) @ w
+            got = jac @ w
             scale = max(1.0, float(np.max(np.abs(expected))))
             worst = max(worst, float(np.max(np.abs(got - expected))) / scale)
     return CheckResult("Jacobi projection form", worst < 1e-8, f"worst deviation = {worst:.2e}")
@@ -260,7 +249,7 @@ def check_eigenspace_complement(dims, trials, seed) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         d = dims[trial % len(dims)]
-        tensor, kappa, _, a = _random_model(d, rng)
+        tensor, kappa, _, a = random_model(d, rng)
         for s in unit_sphere_samples(d, 4, seed + trial):
             image = a @ s
             if float(np.linalg.norm(image)) < 1e-6:
@@ -373,7 +362,7 @@ def check_total_geodesy(dims, trials, seed) -> CheckResult:
         if space.dimension:
             w = space.basis[:, 0]
             worst_tangent = max(worst_tangent, tangency_profile(a, s, w, times))
-        w = _unit_orthogonal_to(s, rng)
+        w = unit_orthogonal_to(s, rng)
         if abs(float(np.dot(w, a @ s))) > 0.1:
             cos_t, sin_t = np.cos(times)[:, None], np.sin(times)[:, None]
             overlaps = np.einsum(

@@ -44,9 +44,12 @@ def scale_of(a) -> float:
 
 
 def require_unit(v, tol: float = UNIT_TOL, name: str = "vector") -> np.ndarray:
+    """Validate a unit vector, or a stack of unit vectors along the last axis."""
     v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    norms = np.linalg.norm(np.atleast_1d(v), axis=-1)
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # a NaN norm fails too
+    if bad.size:
+        norm = float(norms.flat[bad[0]])
         raise NotUnit(f"{name} has norm {norm!r}, expected 1 within {tol:g}")
     return v
 
@@ -102,13 +105,16 @@ def standard_complex_structure(d: int) -> np.ndarray:
 
 
 def canonical_sign_columns(u: np.ndarray, zero_tol: float = _SIGN_FLOOR) -> np.ndarray:
-    """Flip column signs so the first entry above ``zero_tol`` is positive."""
-    out = np.array(u, dtype=float, copy=True)
-    for col in range(out.shape[1]):
-        nonzero = np.flatnonzero(np.abs(out[:, col]) > zero_tol)
-        if nonzero.size and out[nonzero[0], col] < 0:
-            out[:, col] = -out[:, col]
-    return out
+    """Flip column signs so the first entry above ``zero_tol`` is positive.
+
+    Leading axes beyond the last two are batch axes: ``u`` of shape
+    (..., m, k) has each of its k columns treated on its own.
+    """
+    u = np.asarray(u, dtype=float)
+    above = np.abs(u) > zero_tol
+    first = above & (np.cumsum(above, axis=-2) == 1)
+    flip = np.any(first & (u < 0), axis=-2, keepdims=True)
+    return np.where(flip, -u, u)
 
 
 def canonical_sign_matrix(a: np.ndarray, zero_tol: float = _SIGN_FLOOR) -> np.ndarray:
@@ -125,7 +131,8 @@ def symmetric_spectrum(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and sign-canonicalized orthonormal eigenvectors.
 
     The input is expected to be symmetric; only its lower triangle is read.
-    Output is deterministic for identical input.
+    A stack of shape (..., d, d) gives one spectrum per matrix.  Output is
+    deterministic for identical input.
     """
     s = np.asarray(s, dtype=float)
     eigenvalues, vectors = np.linalg.eigh(s)
@@ -308,8 +315,3 @@ class Subspace:
         eigenvalues, vectors = np.linalg.eigh(self.projector() + other.projector())
         keep = eigenvalues >= 2.0 - tol
         return Subspace(self.dim, canonical_sign_columns(vectors[:, keep]))
-
-
-def projector(w: Subspace) -> np.ndarray:
-    """Orthogonal projection onto ``w``; the zero matrix for the empty subspace."""
-    return w.projector()

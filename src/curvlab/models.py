@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import build_model
-from .linalg import Subspace, standard_complex_structure
+from .linalg import Subspace, random_skew, standard_complex_structure
 
 
 def quaternion_j() -> np.ndarray:
@@ -47,6 +47,20 @@ def plane_operator(j: np.ndarray, w: Subspace) -> np.ndarray:
 def random_unit(d: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def unit_orthogonal_to(s: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    w = rng.standard_normal(s.size)
+    w -= np.dot(w, s) * s
+    return w / np.linalg.norm(w)
+
+
+def random_model(d: int, rng: np.random.Generator):
+    """(tensor, kappa, tau, A) for a model with all three drawn from ``rng``."""
+    kappa = float(rng.uniform(-2.0, 2.0))
+    tau = int(rng.choice([-1, 1]))
+    a = random_skew(d, int(rng.integers(1 << 30)))
+    return build_model(kappa, tau, a), kappa, tau, a
 
 
 def case2_instance(seed: int = 0, spread: float = 0.1) -> dict:

@@ -122,3 +122,34 @@ def oracle_kahler_rotation(components, j):
                 for b in range(d):
                     out[i, jj] += j[a, i] * j[b, jj] * components[a, b]
     return out
+
+
+def oracle_canonical_sign_columns(u, zero_tol=1e-12):
+    """Column by column: negate when the first entry above ``zero_tol`` is negative."""
+    out = np.array(u, dtype=float, copy=True)
+    for col in range(out.shape[1]):
+        nonzero = np.flatnonzero(np.abs(out[:, col]) > zero_tol)
+        if nonzero.size and out[nonzero[0], col] < 0:
+            out[:, col] = -out[:, col]
+    return out
+
+
+def oracle_spectrum_on_complement(components, s):
+    """Eigenvalues of the Jacobi operator at s restricted to an s-perp basis."""
+    d = components.shape[0]
+    u, _, _ = np.linalg.svd(np.asarray(s, dtype=float).reshape(d, 1))
+    q = u[:, 1:]  # orthonormal basis of s-perp
+    return np.linalg.eigvalsh(q.T @ oracle_jacobi(components, s) @ q)
+
+
+def curvature_projection(t):
+    """Orthogonal projection of a rank-4 array onto the algebraic curvature tensors.
+
+    Antisymmetrize both slot pairs, symmetrize under pair exchange, then
+    remove the cyclic (first Bianchi) part, which for such a tensor is
+    totally antisymmetric.
+    """
+    t = (t - t.transpose(1, 0, 2, 3)) / 2.0
+    t = (t - t.transpose(0, 1, 3, 2)) / 2.0
+    t = (t + t.transpose(2, 3, 0, 1)) / 2.0
+    return t - (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0

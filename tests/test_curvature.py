@@ -235,6 +235,34 @@ class TestJacobiOperator:
                 jacobi_operator(model, s), oracle_jacobi(model.components, s), atol=1e-12
             )
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_batched_matches_oracle(self, d, perturbed):
+        comp = build_model(-0.7, -1, random_skew(d, d)).components
+        if perturbed:
+            # no longer symmetric: pins the [l, i] orientation of each matrix
+            comp = comp + 1e-6 * np.random.default_rng(d).standard_normal(comp.shape)
+        tensor = CurvatureTensor(d, comp)
+        samples = unit_sphere_samples(d, 2 * d, seed=3)
+        stack = jacobi_operator(tensor, samples)
+        assert stack.shape == (2 * d, d, d)
+        for jac, s in zip(stack, samples):
+            assert np.max(np.abs(jac - oracle_jacobi(comp, s))) <= 1e-13
+            single = jacobi_operator(tensor, s)
+            assert single.shape == (d, d)
+            assert np.max(np.abs(single - jac)) <= 1e-13
+
+    def test_rejects_bad_stacks(self):
+        r1 = build_r1(4)
+        with pytest.raises(NotUnit):
+            jacobi_operator(r1, np.array([np.eye(4)[0], [1.0, 1.0, 0.0, 0.0]]))
+        with pytest.raises(DimensionMismatch):
+            jacobi_operator(r1, np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            jacobi_operator(r1, np.eye(4)[None])
+        with pytest.raises(NotUnit):
+            jacobi_operator(r1, np.array([np.nan, 0.0, 0.0, 0.0]))
+
     def test_block_model_spectra(self):
         model, _, _, _, _ = block_model_4d()
         e1, e3 = np.eye(4)[0], np.eye(4)[2]

@@ -213,6 +213,32 @@ class TestCliContract:
         assert f"{source} must be a finite positive number" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--tol", "-1e-9"),  # argparse reads -1e-9 as an option
+            ("--no-such-option",),
+        ],
+    )
+    def test_usage_error_exits_one(self, tmp_path, args):
+        path = tmp_path / "space_form.json"
+        save_tensor(build_model(1.0, 1, standard_complex_structure(4)), path)
+        result = run_cli("classify", str(path), *args)
+        assert result.returncode == 1
+        assert "usage:" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [("classify",), ("no-such-command",), ()])
+    def test_missing_or_unknown_command_exits_one(self, args):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert "error:" in result.stderr
+
+    def test_help_exits_zero(self):
+        result = run_cli("--help")
+        assert result.returncode == 0
+        assert "usage:" in result.stdout
+
     def test_fit_distribution_cli(self, tmp_path):
         j = standard_complex_structure(4)
         entries = [

@@ -23,9 +23,15 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
-from curvlab.models import block_diagonal_skew, plane_operator, two_plane_operator
+from curvlab.isotropy import _spectra_on_complement
+from curvlab.models import (
+    block_diagonal_skew,
+    case4_instance,
+    plane_operator,
+    two_plane_operator,
+)
 
-from _oracles import diagonal_plane_tensor
+from _oracles import curvature_projection, diagonal_plane_tensor, oracle_spectrum_on_complement
 
 
 def block_model_4d():
@@ -33,6 +39,13 @@ def block_model_4d():
     w1 = Subspace.span([np.eye(4)[0], np.eye(4)[1]])
     a, _ = two_plane_operator(j, 2.0, 0.5, w1)
     return build_model(1.0, 1, a), a
+
+
+def noisy_model(d, kappa, tau, a, eps, seed):
+    """The model plus eps times a seeded curvature tensor of max entry 1."""
+    noise = curvature_projection(np.random.default_rng(seed).standard_normal((d,) * 4))
+    noise /= np.max(np.abs(noise))
+    return CurvatureTensor(d, build_model(kappa, tau, a).components + eps * noise)
 
 
 def skew_match(recovered, expected):
@@ -48,6 +61,35 @@ def skew_match(recovered, expected):
 def test_bad_tolerance_rejected(entry, tol):
     with pytest.raises(NonPositiveTolerance):
         entry(build_model(1.0, 1, standard_complex_structure(4)), tol=tol)
+
+
+class TestSpectraOnComplement:
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_matches_per_sample_oracle(self, d, eps):
+        tensor = noisy_model(d, 0.4, 1, random_skew(d, d), eps, seed=d)
+        samples = unit_sphere_samples(d, 2 * d, seed=1)
+        eigenvalues, vectors = _spectra_on_complement(tensor, samples)
+        assert eigenvalues.shape == (2 * d, d - 1)
+        assert vectors.shape == (2 * d, d, d - 1)
+        scale = max(1.0, float(np.max(np.abs(eigenvalues))))
+        for s, values, basis in zip(samples, eigenvalues, vectors):
+            expected = oracle_spectrum_on_complement(tensor.components, s)
+            assert np.max(np.abs(values - expected)) <= 1e-12 * scale
+            assert np.max(np.abs(s @ basis)) <= 1e-12
+
+    def test_sample_spectrum_independent_of_batch_size(self):
+        d = 8
+        tensor = noisy_model(d, -1.2, -1, random_skew(d, 4), 1e-8, seed=2)
+        samples = unit_sphere_samples(d, 40, seed=6)
+        full, _ = _spectra_on_complement(tensor, samples)
+        scale = max(1.0, float(np.max(np.abs(full))))
+        for n in (1, 3, 17):
+            part, _ = _spectra_on_complement(tensor, samples[:n])
+            assert np.max(np.abs(part - full[:n])) <= 1e-12 * scale
+        for row, s in enumerate(samples):
+            single, _ = _spectra_on_complement(tensor, s[None])
+            assert np.max(np.abs(single[0] - full[row])) <= 1e-12 * scale
 
 
 class TestKappaAt:
@@ -177,6 +219,18 @@ class TestEigenspaceAt:
         space = eigenspace_at(build_r1(4), 1.0, np.eye(4)[0])
         assert space.dimension == 3
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_flat_case_kernel_point(self, d):
+        # kappa = 0 and As = 0: J_s vanishes, so the eigenvalue 0 of s sits
+        # inside the kappa-cluster and must still be left out
+        instance = case4_instance(d, -2.5, seed=d)
+        w_perp = instance["w"].complement().basis
+        s = w_perp @ np.random.default_rng(d).standard_normal(d - 2)
+        s /= np.linalg.norm(s)
+        space = eigenspace_at(instance["tensor"], 0.0, s)
+        assert space.dimension == d - 1
+        assert np.max(np.abs(s @ space.basis)) <= 1e-12
+
     def test_kernel_point_full_complement(self):
         j = standard_complex_structure(6)
         w = Subspace.span([np.eye(6)[0], np.eye(6)[1]])
@@ -277,6 +331,25 @@ class TestRecoverDecomposition:
         broken = CurvatureTensor(6, base.components + 1e-6 * build_ra(b).components)
         with pytest.raises(NotAlmostIsotropic):
             recover_decomposition(broken)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.sampled_from([4, 6, 8]),
+        tau=st.sampled_from([-1, 1]),
+        eps=st.sampled_from([1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6]),
+    )
+    def test_noise_property(self, seed, d, tau, eps):
+        # curvature-shaped noise of size eps is recovered through at tol = 1e3 eps
+        rng = np.random.default_rng(seed)
+        kappa = float(rng.uniform(-2, 2))
+        a = random_skew(d, seed)
+        tensor = noisy_model(d, kappa, tau, a, eps, seed)
+        tol = 1e3 * eps
+        decomposition = recover_decomposition(tensor, tol=tol)
+        assert decomposition.tau == tau
+        scale = max(1.0, build_model(kappa, tau, a).max_abs)
+        assert abs(decomposition.kappa - kappa) <= tol * scale
+        assert skew_match(decomposition.skew, a) <= tol * float(np.max(np.abs(a)))
 
     @given(
         seed=st.integers(0, 10_000),

@@ -8,13 +8,15 @@ from curvlab import (
     NonPositiveTolerance,
     OddDimension,
     Subspace,
-    projector,
     random_skew,
     rank_with_tol,
     standard_complex_structure,
     symmetric_spectrum,
     unit_sphere_samples,
 )
+from curvlab.linalg import canonical_sign_columns
+
+from _oracles import oracle_canonical_sign_columns
 
 
 class TestStandardComplexStructure:
@@ -40,28 +42,28 @@ class TestStandardComplexStructure:
 class TestProjector:
     def test_single_basis_vector(self):
         w = Subspace.span([np.eye(3)[0]])
-        np.testing.assert_array_equal(projector(w), np.diag([1.0, 0.0, 0.0]))
+        np.testing.assert_array_equal(w.projector(), np.diag([1.0, 0.0, 0.0]))
 
     def test_empty_subspace(self):
-        np.testing.assert_array_equal(projector(Subspace.empty(4)), np.zeros((4, 4)))
+        np.testing.assert_array_equal(Subspace.empty(4).projector(), np.zeros((4, 4)))
 
     def test_diagonal_plane(self):
         v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        p = projector(Subspace.span([v]))
+        p = Subspace.span([v]).projector()
         np.testing.assert_allclose(p, np.full((2, 2), 0.5), atol=1e-15)
         np.testing.assert_allclose(p @ p, p, atol=1e-15)
 
     def test_trace_counts_dimension(self):
         rng = np.random.default_rng(11)
         w = Subspace.span(rng.standard_normal((3, 7)), dim=7)
-        assert np.trace(projector(w)) == pytest.approx(w.dimension, abs=1e-12)
+        assert np.trace(w.projector()) == pytest.approx(w.dimension, abs=1e-12)
 
     @given(seed=st.integers(0, 10_000))
     def test_idempotent_on_random_subspaces(self, seed):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 9))
         k = int(rng.integers(0, d + 1))
-        p = projector(Subspace.span(rng.standard_normal((k, d)), dim=d))
+        p = Subspace.span(rng.standard_normal((k, d)), dim=d).projector()
         assert np.max(np.abs(p @ p - p)) < 1e-12
 
     def test_idempotent_hundred_seeded(self):
@@ -69,7 +71,7 @@ class TestProjector:
             rng = np.random.default_rng(seed)
             d = int(rng.integers(2, 9))
             k = int(rng.integers(0, d + 1))
-            p = projector(Subspace.span(rng.standard_normal((k, d)), dim=d))
+            p = Subspace.span(rng.standard_normal((k, d)), dim=d).projector()
             assert np.max(np.abs(p @ p - p)) < 1e-12
 
     def test_non_orthonormal_basis_rejected(self):
@@ -119,6 +121,25 @@ class TestSymmetricSpectrum:
         for col in vectors.T:
             first = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert first > 0
+
+
+class TestCanonicalSignColumns:
+    def test_batched_bitwise_equal_to_column_loop(self):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((4, 6, 5))
+        u[:, 0, :2] = 0.0  # leading exact zeros
+        u[:, 1, 0] = -1e-13  # a negative entry below the sign floor
+        u[1, :, 3] = 0.0  # an all-zero column
+        u[2, :, 3] = -0.0
+        got = canonical_sign_columns(u)
+        assert got.shape == u.shape
+        for batch, matrix in zip(got, u):
+            assert batch.tobytes() == oracle_canonical_sign_columns(matrix).tobytes()
+            assert canonical_sign_columns(matrix).tobytes() == batch.tobytes()
+
+    def test_empty_shapes(self):
+        assert canonical_sign_columns(np.zeros((3, 0))).shape == (3, 0)
+        assert canonical_sign_columns(np.zeros((2, 0, 4))).shape == (2, 0, 4)
 
 
 class TestRankWithTol:
