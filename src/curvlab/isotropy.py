@@ -111,6 +111,7 @@ def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, in
     eigenvalue; use :func:`almost_isotropy_scan`, which votes across
     samples, instead.
     """
+    tol = require_tol(tol)
     if r.dim == 3:
         raise ValueError(
             "kappa is ambiguous at a single sample in dimension 3; "
@@ -202,6 +203,7 @@ def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
 
 def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL) -> Subspace:
     """The kappa-eigenspace of the Jacobi operator restricted to s-perp."""
+    tol = require_tol(tol)
     (eigenvalues,), (vectors,) = _spectra_on_complement(r, [s])
     scale = max(1.0, abs(kappa), float(np.max(np.abs(eigenvalues))))
     keep = np.abs(eigenvalues - kappa) <= tol * scale

@@ -70,14 +70,11 @@ class DistributionSamples:
             norm = np.linalg.norm(s)
             if norm == 0:
                 raise ValueError("base point must be nonzero")
-            s = s / norm
-            rows = []
-            for t in np.asarray(tangents, dtype=float).reshape(-1, dim):
-                t_norm = np.linalg.norm(t)
-                if t_norm == 0:
-                    raise ValueError("tangent vectors must be nonzero")
-                rows.append(t / t_norm)
-            prepared.append((s, np.asarray(rows).reshape(-1, dim)))
+            tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+            t_norms = np.linalg.norm(tangents, axis=1)
+            if np.any(t_norms == 0):
+                raise ValueError("tangent vectors must be nonzero")
+            prepared.append((s / norm, tangents / t_norms[:, None]))
         return cls(dim, prepared)
 
     @property
@@ -142,31 +139,32 @@ def fit_skew_from_samples(samples: DistributionSamples) -> FitResult:
     """Recover the projective class [A] that the sampled tangents annihilate.
 
     Minimizes Q(A) = sum <t, As>^2 over skew A with ||A||_F = 1 by
-    assembling the quadratic form on the d(d-1)/2 independent entries and
-    taking its least eigenvector.
+    assembling the quadratic form on the m = d(d-1)/2 independent entries
+    and taking its least eigenvector.  With ``i, j = triu_indices(d, 1)``,
+    the overlap <t, As> is g . a[i, j] for the row g = t[i] s[j] - s[i] t[j],
+    so an entry (s, T) with k tangent rows contributes G^T G, where
+    G = T[:, i] * s[j] - s[i] * T[:, j] has shape (k, m): one matrix
+    product per sample point.  Time is O(N m^2) for N tangents in all, and
+    memory O(m^2 + k m), independent of N.
     """
     if samples.tangent_count == 0:
         raise EmptySamples("no tangent vectors to fit against")
     d = samples.dim
-    upper = np.triu_indices(d, k=1)
-    m = upper[0].size
+    upper_i, upper_j = np.triu_indices(d, k=1)
+    m = upper_i.size
     form = np.zeros((m, m))
     for s, tangents in samples.entries:
-        for t in tangents:
-            g_full = np.outer(t, s) - np.outer(s, t)
-            g = g_full[upper]
-            form += np.outer(g, g)
+        g = tangents[:, upper_i] * s[upper_j] - s[upper_i] * tangents[:, upper_j]
+        form += g.T @ g
     eigenvalues, vectors = symmetric_spectrum(form)
-    coeffs = vectors[:, 0]
     skew = np.zeros((d, d))
-    skew[upper] = coeffs
+    skew[upper_i, upper_j] = vectors[:, 0]
     skew = skew - skew.T
     skew /= float(np.linalg.norm(skew))
     skew = canonical_sign_matrix(skew)
-    residual = 0.0
-    for s, tangents in samples.entries:
-        if tangents.size:
-            residual += float(np.sum((tangents @ (skew @ s)) ** 2))
+    # summed from the overlaps, not read as a^T F a: the form's rounding
+    # would put it near 1e-15 at exact samples, where the overlaps give 1e-30
+    residual = sum(float(np.sum((t @ (skew @ s)) ** 2)) for s, t in samples.entries)
     gap = float(eigenvalues[1] - eigenvalues[0]) if m >= 2 else float("inf")
     return FitResult(skew=skew, residual=residual, gap=gap)
 

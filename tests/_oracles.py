@@ -153,3 +153,21 @@ def curvature_projection(t):
     t = (t - t.transpose(0, 1, 3, 2)) / 2.0
     t = (t + t.transpose(2, 3, 0, 1)) / 2.0
     return t - (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+
+
+def oracle_fit_form(samples):
+    """The sphere fit's quadratic form, one outer product per tangent.
+
+    Row g of a tangent t at base point s holds the upper-triangular entries
+    of t s^T - s t^T, so <t, As> = g . a[upper] for skew A.
+    """
+    d = samples.dim
+    upper = np.triu_indices(d, k=1)
+    m = upper[0].size
+    form = np.zeros((m, m))
+    for s, tangents in samples.entries:
+        for t in tangents:
+            g_full = np.outer(t, s) - np.outer(s, t)
+            g = g_full[upper]
+            form += np.outer(g, g)
+    return form

@@ -253,6 +253,19 @@ class TestCliContract:
         assert payload["results"]["gap"] > 0.01
         assert payload["results"]["residual"] < 1e-12
 
+    def test_fit_distribution_json_stable(self, tmp_path):
+        a = random_skew(6, 8)
+        entries = [
+            (s, distribution_at(a, s).basis.T)
+            for s in unit_sphere_samples(6, 40, seed=8)[6:]
+        ]
+        path = tmp_path / "samples.json"
+        save_samples(DistributionSamples(6, entries), path)
+        first = run_cli("fit-distribution", str(path), "--format", "json")
+        second = run_cli("fit-distribution", str(path), "--format", "json")
+        assert first.returncode == 0
+        assert first.stdout == second.stdout
+
     def test_matrix_file_a_spec(self, tmp_path):
         matrix_path = tmp_path / "a.json"
         matrix_path.write_text(json.dumps({"matrix": random_skew(4, 3).tolist()}))

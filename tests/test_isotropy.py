@@ -63,6 +63,20 @@ def test_bad_tolerance_rejected(entry, tol):
         entry(build_model(1.0, 1, standard_complex_structure(4)), tol=tol)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tol: kappa_at(build_r1(4), np.eye(4)[0], tol=tol),
+        lambda tol: eigenspace_at(build_r1(4), 1.0, np.eye(4)[0], tol=tol),
+    ],
+    ids=["kappa_at", "eigenspace_at"],
+)
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_per_sample_bad_tolerance_rejected(entry, tol):
+    with pytest.raises(NonPositiveTolerance):
+        entry(tol)
+
+
 class TestSpectraOnComplement:
     @pytest.mark.parametrize("d", [4, 6, 8])
     @pytest.mark.parametrize("eps", [0.0, 1e-6])

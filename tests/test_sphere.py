@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,8 @@ from curvlab import (
 )
 from curvlab.models import block_diagonal_skew, plane_operator
 
+from _oracles import oracle_fit_form
+
 
 def matrix_line_angle(a, b):
     """Angle between the lines spanned by two matrices in Frobenius geometry."""
@@ -39,6 +43,25 @@ def exact_samples(a, d, count, seed):
     entries = []
     for s in unit_sphere_samples(d, count, seed)[d:]:
         entries.append((s, distribution_at(a, s).basis.T))
+    return DistributionSamples(d, entries)
+
+
+def fit_case(kind, d, seed):
+    """Samples of a planted random skew operator: exact, noisy, mixed or single."""
+    a = random_skew(d, seed)
+    rng = np.random.default_rng(seed)
+    entries = []
+    for index, s in enumerate(unit_sphere_samples(d, d + 3 * d * d, seed)[d:]):
+        tangents = distribution_at(a, s).basis.T
+        if kind == "noisy":
+            tangents = tangents + 1e-3 * rng.standard_normal(tangents.shape)
+            tangents -= np.outer(tangents @ s, s)
+            tangents /= np.linalg.norm(tangents, axis=1)[:, None]
+        elif kind == "mixed":  # entries with 0, 2 and up to 4 tangents in turn
+            tangents = tangents[: 2 * (index % 3)]
+        elif kind == "single":
+            tangents = tangents[index % tangents.shape[0]][None, :]
+        entries.append((s, tangents))
     return DistributionSamples(d, entries)
 
 
@@ -161,6 +184,47 @@ class TestFitSkewFromSamples:
         if fit.gap > 1e-6:
             assert matrix_line_angle(fit.skew, j) < 1e-6
 
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    @pytest.mark.parametrize("kind", ["exact", "noisy", "mixed", "single"])
+    def test_matches_per_tangent_oracle(self, kind, d):
+        samples = fit_case(kind, d, seed=d)
+        fit = fit_skew_from_samples(samples)
+        eigenvalues, vectors = np.linalg.eigh(oracle_fit_form(samples))
+        upper = np.triu_indices(d, k=1)
+        skew = np.zeros((d, d))
+        skew[upper] = vectors[:, 0]
+        skew = (skew - skew.T) / np.linalg.norm(skew - skew.T)
+        residual = sum(
+            float(np.dot(t, skew @ s)) ** 2 for s, ts in samples.entries for t in ts
+        )
+        scale = float(samples.tangent_count)
+        assert min(np.max(np.abs(fit.skew - skew)), np.max(np.abs(fit.skew + skew))) < 1e-12
+        assert abs(fit.gap - (eigenvalues[1] - eigenvalues[0])) < 1e-12 * scale
+        assert abs(fit.residual - residual) < 1e-12 * scale
+
+    def test_repeat_calls_bitwise_equal(self):
+        samples = fit_case("noisy", 8, seed=3)
+        first = fit_skew_from_samples(samples)
+        second = fit_skew_from_samples(samples)
+        assert np.array_equal(first.skew, second.skew)
+        assert first.residual == second.residual
+        assert first.gap == second.gap
+
+    def test_memory_independent_of_tangent_count(self):
+        # per-point assembly keeps O(m^2 + k m) scratch; stacking all N
+        # tangent rows into one (N, m) matrix would exceed the bound
+        d = 32
+        m = d * (d - 1) // 2
+        samples = exact_samples(random_skew(d, 4), d, d + 128, seed=4)
+        assert samples.tangent_count == 3840
+        tracemalloc.start()
+        try:
+            fit_skew_from_samples(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * m * m * 8
+
 
 class TestSphereStructureCheck:
     def test_worked_example(self):
@@ -246,3 +310,20 @@ class TestDistributionSamplesValidation:
     def test_non_orthogonal_tangent_rejected(self):
         with pytest.raises(ValueError):
             DistributionSamples.from_raw(3, [([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0]])])
+
+    def test_zero_base_point_rejected(self):
+        with pytest.raises(ValueError, match="base point must be nonzero"):
+            DistributionSamples.from_raw(3, [([0.0, 0.0, 0.0], [[0.0, 1.0, 0.0]])])
+
+    def test_zero_tangent_rejected(self):
+        with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
+            DistributionSamples.from_raw(
+                3, [([1.0, 0.0, 0.0], [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])]
+            )
+
+    @pytest.mark.parametrize("tangents", [[], np.zeros((0, 3))])
+    def test_from_raw_entry_without_tangents(self, tangents):
+        samples = DistributionSamples.from_raw(3, [([0.0, 0.0, 5.0], tangents)])
+        s, rows = samples.entries[0]
+        assert np.array_equal(s, [0.0, 0.0, 1.0])
+        assert rows.shape == (0, 3)
