@@ -1,7 +1,10 @@
 """JSON file formats for tensors and distribution samples, plus reports.
 
-Components are stored as flat row-major lists of finite floats; Python's
-shortest round-trip float serialization makes save -> load bitwise exact.
+Tensor components are stored as a flat row-major list of finite floats, one
+per line; Python's shortest round-trip float serialization makes save -> load
+bitwise exact.  ``save_tensor`` writes that layout one slab at a time, and its
+bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)`` plus a
+newline, so files and their sha256 digests match earlier versions.
 Reports render to either human-readable text or a stable machine-readable
 JSON layout (sorted keys, no timestamps).
 """
@@ -46,16 +49,25 @@ def _finite_floats(values, where: str) -> np.ndarray:
 
 
 def save_tensor(r: CurvatureTensor, path) -> None:
-    payload = {
-        "schema_version": TENSOR_SCHEMA_VERSION,
-        "dim": r.dim,
-        "components": r.components.ravel(order="C").tolist(),
-        "basis": TENSOR_BASIS,
-        "convention": TENSOR_CONVENTION,
-    }
+    """Write ``r`` in the tensor layout, one component per line.
+
+    The bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)``
+    plus a newline: json prints a finite float with ``float.__repr__``, and
+    components are always finite.  Writing the layout directly, one slab
+    ``components[i]`` of d^3 components at a time, skips the pure-Python
+    encoder and keeps extra memory at O(d^3).
+    """
+    separator = ",\n    "
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    ')
+        for index, slab in enumerate(r.components):
+            if index:
+                handle.write(separator)
+            handle.write(separator.join(map(repr, slab.ravel().tolist())))
+        handle.write(
+            f'\n  ],\n  "convention": {json.dumps(TENSOR_CONVENTION)},\n'
+            f'  "dim": {r.dim},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'
+        )
 
 
 def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:

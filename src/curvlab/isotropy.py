@@ -84,11 +84,13 @@ def _spectra_on_complement(r: CurvatureTensor, samples) -> tuple[np.ndarray, np.
     J_s kills s, so subtracting shift * s s^T, shift above the spectral norm,
     makes (-shift, s) the lowest eigenpair and leaves the rest in place; that
     pair is dropped.  The kept eigenvectors are orthogonal to s even when
-    kappa = 0 puts the eigenvalue of s inside the kappa-cluster.
+    kappa = 0 puts the eigenvalue of s inside the kappa-cluster.  The bound
+    is the largest absolute row sum: it squares nothing, so it stays finite
+    where the Frobenius norm would overflow (|J_s| above about 1e154).
     """
     samples = np.asarray(samples, dtype=float)
     jac = jacobi_operator(r, samples)
-    shift = 1.0 + 2.0 * np.linalg.norm(jac, axis=(1, 2))
+    shift = 1.0 + 2.0 * np.abs(jac).sum(axis=2).max(axis=1)
     deflated = jac - shift[:, None, None] * (samples[:, :, None] * samples[:, None, :])
     eigenvalues, vectors = symmetric_spectrum(deflated)
     return eigenvalues[:, 1:], vectors[:, :, 1:]

@@ -2,8 +2,11 @@
 
 Everything here is written with explicit Python loops and inner products,
 deliberately avoiding the vectorized paths used by the package, so the
-two implementations can check each other.
+two implementations can check each other.  File layouts are written with
+the standard library's json encoder.
 """
+
+import json
 
 import numpy as np
 
@@ -171,3 +174,17 @@ def oracle_fit_form(samples):
             g = g_full[upper]
             form += np.outer(g, g)
     return form
+
+
+def oracle_save_tensor(r, path):
+    """The tensor file as the json encoder writes it: the layout save_tensor must match."""
+    payload = {
+        "schema_version": 1,
+        "dim": r.dim,
+        "components": r.components.ravel(order="C").tolist(),
+        "basis": "orthonormal-standard",
+        "convention": "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>",
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from curvlab import (
+    CurvatureTensor,
     DistributionSamples,
     NonPositiveTolerance,
     ParseError,
@@ -23,6 +25,8 @@ from curvlab import (
     unit_sphere_samples,
 )
 from curvlab.io import render_json
+
+from _oracles import oracle_save_tensor
 
 
 def run_cli(*args, env=None):
@@ -98,6 +102,36 @@ class TestTensorFiles:
         path.write_text(json.dumps(payload, allow_nan=True))
         with pytest.raises(ParseError):
             load_tensor(path)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_bytes_match_json_encoder(self, tmp_path, d):
+        tensor = build_model(0.7, 1, random_skew(d, d))
+        save_tensor(tensor, tmp_path / "saved.json")
+        oracle_save_tensor(tensor, tmp_path / "oracle.json")
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_edge_values_match_json_encoder(self, tmp_path, transposed):
+        # the constructor does not enforce the symmetries, so any finite
+        # values can be laid out; a transposed view is not C-contiguous
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 0.1, -0.1, 1e-5, 1e-7, 1e16, -1e16,
+                1e22, 1.7976931348623157e308, 2.0, -7.0, 1e15, 123456789.0, 1 / 3]
+        comp = np.resize(np.array(edge), 3**4).reshape((3,) * 4)
+        tensor = CurvatureTensor(3, comp.transpose(3, 1, 2, 0) if transposed else comp)
+        save_tensor(tensor, tmp_path / "saved.json")
+        oracle_save_tensor(tensor, tmp_path / "oracle.json")
+        assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+    def test_save_memory_is_one_slab(self, tmp_path):
+        # a d^4 component list or text would peak near 32 MiB at d=32
+        tensor = build_model(0.7, 1, random_skew(32, 1))
+        tracemalloc.start()
+        try:
+            save_tensor(tensor, tmp_path / "tensor.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
     def test_bad_tolerance_rejected(self, tmp_path, tol):
@@ -179,6 +213,16 @@ class TestCliContract:
         path.write_text("{not json")
         result = run_cli("classify", str(path))
         assert result.returncode == 1
+
+    def test_decompose_huge_scale_exits_zero(self, tmp_path):
+        path = tmp_path / "huge.json"
+        model = build_model(0.7, 1, random_skew(6, 1))
+        save_tensor(CurvatureTensor(6, model.components * 1e200), path)
+        result = run_cli("decompose", str(path), "--format", "json")
+        assert result.returncode == 0, result.stderr
+        results = json.loads(result.stdout)["results"]
+        assert results["kappa"] / 1e200 == pytest.approx(0.7, abs=1e-12)
+        assert results["tau"] == 1
 
     def test_missing_file_exits_one(self, tmp_path):
         result = run_cli("decompose", str(tmp_path / "absent.json"))

@@ -315,6 +315,17 @@ class TestRecoverDecomposition:
         with pytest.raises(InconsistentTau):
             recover_decomposition(tensor, n_samples=4)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_huge_scale_roundtrip(self, scale):
+        # the deflation shift must not square the entries (inf past ~1e154)
+        a = random_skew(6, 1)
+        tensor = CurvatureTensor(6, build_model(0.7, 1, a).components * scale)
+        decomposition = recover_decomposition(tensor, 1e-9)
+        assert decomposition.kappa / scale == pytest.approx(0.7, abs=1e-12)
+        assert decomposition.tau == 1
+        assert skew_match(decomposition.skew / np.sqrt(scale), a) < 1e-9
+        assert decomposition.residual < 1e-12
+
     def test_dimension_three_roundtrip(self):
         a = random_skew(3, 9)
         model = build_model(1.25, -1, a)
