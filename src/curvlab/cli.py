@@ -3,8 +3,17 @@
 Subcommands: generate, classify, decompose, fit-distribution, lemma-suite.
 Exit codes: 0 success, 1 unreadable or malformed input (usage errors
 included), 2 mathematical rejection (not almost isotropic, not Kahler,
-broken convention or structure).  The environment variable CURVLAB_TOL
-overrides the default tolerance of 1e-9; a --tol flag overrides both.
+broken convention or structure) or a numerical failure.  The environment
+variable CURVLAB_TOL overrides the default tolerance of 1e-9; a --tol flag
+overrides both.
+
+Each subcommand loads only the modules it runs: the library functions in
+``_LAZY`` are module attributes imported on first use, and the commands
+call them through the module (``_this.name``), so patching the attribute
+replaces the call.  fit-distribution loads errors, linalg, io and sphere;
+generate loads errors, linalg, io and curvature, decompose adds isotropy,
+and classify adds isotropy and kahler; only lemma-suite loads lemmas and
+models.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ import sys
 
 import numpy as np
 
+from . import _lazy_getattr
 from . import io as cio
-from .curvature import build_model
 from .errors import (
     CurvlabError,
     InputFormatError,
@@ -25,9 +34,6 @@ from .errors import (
     NonPositiveTolerance,
     ParseError,
 )
-from .isotropy import recover_decomposition
-from .kahler import Case1, Case2, Case3, classify_kahler
-from .lemmas import run_suite
 from .linalg import (
     DEFAULT_TOL,
     random_skew,
@@ -35,7 +41,16 @@ from .linalg import (
     require_tol,
     standard_complex_structure,
 )
-from .sphere import fit_skew_from_samples
+
+_LAZY = {
+    "build_model": "curvature",
+    "recover_decomposition": "isotropy",
+    "classify_kahler": "kahler",
+    "fit_skew_from_samples": "sphere",
+    "run_suite": "lemmas",
+}
+__getattr__ = _lazy_getattr(globals(), _LAZY)
+_this = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -66,9 +81,9 @@ def _subspace_payload(subspace) -> list:
     return [column.tolist() for column in subspace.basis.T]
 
 
-def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray:
+def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
     if spec == "zero":
-        return np.zeros((dim, dim))
+        return None
     if spec == "J":
         return standard_complex_structure(dim)
     if spec.startswith("random:"):
@@ -83,7 +98,8 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray:
 def cmd_generate(args) -> int:
     tol = _resolve_tol(args.tol)
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
-    tensor = build_model(args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
+    tensor = _this.build_model(
+        args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
     cio.save_tensor(tensor, args.out)
     singular_top = float(np.linalg.svd(skew, compute_uv=False)[0]) if np.any(skew) else 0.0
     lam_edge = args.kappa + 3.0 * args.tau * singular_top**2
@@ -105,9 +121,9 @@ def cmd_generate(args) -> int:
 
 
 def _case_payload(result) -> dict:
-    if isinstance(result, Case1):
+    if result.case == 1:
         return {"case": 1, "kappa": result.kappa}
-    if isinstance(result, Case2):
+    if result.case == 2:
         return {
             "case": 2,
             "kappa": result.kappa,
@@ -117,7 +133,7 @@ def _case_payload(result) -> dict:
             "W1": _subspace_payload(result.w1),
             "W2": _subspace_payload(result.w2),
         }
-    if isinstance(result, Case3):
+    if result.case == 3:
         return {"case": 3, "kappa": result.kappa}
     return {"case": 4, "c": result.c, "W": _subspace_payload(result.w)}
 
@@ -138,7 +154,7 @@ def cmd_classify(args) -> int:
         "tolerance": tol,
     }
     try:
-        result = classify_kahler(tensor, j, tol)
+        result = _this.classify_kahler(tensor, j, tol)
     except MathematicalRejection as exc:
         report["status"] = "rejected"
         report["reason"] = type(exc).__name__
@@ -154,7 +170,7 @@ def cmd_classify(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _resolve_tol(args.tol)
     tensor = cio.load_tensor(args.tensor, tol)
-    decomposition = recover_decomposition(tensor, tol)
+    decomposition = _this.recover_decomposition(tensor, tol)
     report = {
         "command": "decompose",
         "input": {"path": str(args.tensor), "sha256": cio.file_digest(args.tensor)},
@@ -173,7 +189,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_fit_distribution(args) -> int:
     samples = cio.load_samples(args.samples)
-    fit = fit_skew_from_samples(samples)
+    fit = _this.fit_skew_from_samples(samples)
     report = {
         "command": "fit-distribution",
         "input": {"path": str(args.samples), "sha256": cio.file_digest(args.samples)},
@@ -190,7 +206,7 @@ def cmd_fit_distribution(args) -> int:
 
 def cmd_lemma_suite(args) -> int:
     dims = [int(part) for part in args.dims.split(",") if part.strip()]
-    results = run_suite(dims=dims, trials=args.trials, seed=args.seed)
+    results = _this.run_suite(dims=dims, trials=args.trials, seed=args.seed)
     all_passed = all(result.passed for result in results)
     if args.format == "json":
         report = {

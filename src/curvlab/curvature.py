@@ -147,6 +147,8 @@ def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> Curva
     """
     if tau not in (-1, 0, 1):
         raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
+    if dim is not None and dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
     tau = int(tau)
     if a is None:
         if dim is None:

@@ -4,9 +4,10 @@ Two families matter to callers.  ``InputFormatError`` covers data that
 cannot be used at all: unparseable files, schema mismatches, component
 arrays that fail their own symmetries.  ``MathematicalRejection`` covers
 inputs that are well formed but fail a structural requirement, such as a
-tensor that is not almost isotropic or not Kahler.  The command line maps
-the first family to exit code 1 and every other package error to exit
-code 2.
+tensor that is not almost isotropic or not Kahler.  ``NumericalFailure``
+reports a numpy routine that failed on well-formed input.  The command
+line maps the first family to exit code 1 and every other package error
+to exit code 2.
 """
 
 
@@ -20,6 +21,10 @@ class InputFormatError(CurvlabError):
 
 class MathematicalRejection(CurvlabError):
     """Well-formed input fails a structural requirement."""
+
+
+class NumericalFailure(CurvlabError):
+    """A numpy spectral or SVD routine failed to converge on the given input."""
 
 
 # --- input / format -------------------------------------------------------

@@ -6,20 +6,25 @@ bitwise exact.  ``save_tensor`` writes that layout one slab at a time, and its
 bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)`` plus a
 newline, so files and their sha256 digests match earlier versions.
 Reports render to either human-readable text or a stable machine-readable
-JSON layout (sorted keys, no timestamps).
+JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
+``load_samples`` import the curvature and sphere modules when first called,
+so a process that reads only one kind of file loads only one of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .curvature import CurvatureTensor, validate_symmetries
 from .errors import ParseError, SchemaVersionUnsupported, SymmetryViolation
 from .linalg import DEFAULT_TOL, require_tol
-from .sphere import DistributionSamples
+
+if TYPE_CHECKING:
+    from .curvature import CurvatureTensor
+    from .sphere import DistributionSamples
 
 TENSOR_SCHEMA_VERSION = 1
 SAMPLES_SCHEMA_VERSION = 1
@@ -72,6 +77,8 @@ def save_tensor(r: CurvatureTensor, path) -> None:
 
 def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     """Load and validate a tensor file; symmetry failures name the identity."""
+    from .curvature import CurvatureTensor, validate_symmetries
+
     tol = require_tol(tol)
     data = _read_json(path)
     version = data.get("schema_version")
@@ -123,6 +130,8 @@ def save_samples(samples: DistributionSamples, path) -> None:
 
 
 def load_samples(path) -> DistributionSamples:
+    from .sphere import DistributionSamples
+
     data = _read_json(path)
     version = data.get("schema_version")
     if version != SAMPLES_SCHEMA_VERSION:

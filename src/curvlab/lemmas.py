@@ -456,6 +456,11 @@ def run_suite(dims=(4, 6), trials: int = 25, seed: int = 0) -> list[CheckResult]
     dims = [int(d) for d in dims]
     if not dims:
         raise ValueError("at least one dimension is required")
+    for d in dims:
+        if d < 2:
+            raise ValueError(f"dimension must be at least 2, got {d}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     results = []
     for check in ALL_CHECKS:
         results.append(check(dims, trials, seed))

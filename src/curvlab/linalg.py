@@ -20,6 +20,7 @@ from .errors import (
     NotOrthonormal,
     NotSkew,
     NotUnit,
+    NumericalFailure,
     OddDimension,
 )
 
@@ -33,6 +34,14 @@ UNIT_TOL = 1e-12
 ORTHO_TOL = 1e-10
 
 _SIGN_FLOOR = 1e-12
+
+
+def _lapack(routine, *args, **kwargs):
+    """Call a ``numpy.linalg`` routine; its ``LinAlgError`` becomes ``NumericalFailure``."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"numpy.linalg.{routine.__name__}: {exc}") from exc
 
 
 def scale_of(a) -> float:
@@ -135,7 +144,7 @@ def symmetric_spectrum(s) -> tuple[np.ndarray, np.ndarray]:
     deterministic for identical input.
     """
     s = np.asarray(s, dtype=float)
-    eigenvalues, vectors = np.linalg.eigh(s)
+    eigenvalues, vectors = _lapack(np.linalg.eigh, s)
     return eigenvalues, canonical_sign_columns(vectors)
 
 
@@ -154,7 +163,7 @@ def rank_with_tol(mat, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol * max(1, largest singular value)``."""
     tol = require_tol(tol)
     mat = np.asarray(mat, dtype=float)
-    singular = np.linalg.svd(mat, compute_uv=False)
+    singular = _lapack(np.linalg.svd, mat, compute_uv=False)
     if singular.size == 0:
         return 0
     return int(np.sum(singular > tol * max(1.0, float(singular[0]))))
@@ -201,7 +210,7 @@ def null_space(mat, tol: float = DEFAULT_TOL) -> "Subspace":
     """
     mat = np.asarray(mat, dtype=float)
     m, n = mat.shape
-    _, singular, vt = np.linalg.svd(mat, full_matrices=m < n)
+    _, singular, vt = _lapack(np.linalg.svd, mat, full_matrices=m < n)
     top = float(singular[0]) if singular.size else 0.0
     rank = int(np.sum(singular > tol * max(1.0, top)))
     kernel = canonical_sign_columns(vt[rank:].T)
@@ -253,7 +262,7 @@ class Subspace:
         d = mat.shape[0]
         if dim is not None and dim != d:
             raise ValueError(f"vectors have length {d}, expected {dim}")
-        u, singular, _ = np.linalg.svd(mat, full_matrices=False)
+        u, singular, _ = _lapack(np.linalg.svd, mat, full_matrices=False)
         top = float(singular[0]) if singular.size else 0.0
         rank = int(np.sum(singular > tol * max(top, 1e-300)))
         return cls(d, canonical_sign_columns(u[:, :rank]))
@@ -271,7 +280,7 @@ class Subspace:
             return Subspace.full(self.dim)
         if self.dimension == self.dim:
             return Subspace.empty(self.dim)
-        u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
+        u, _, _ = _lapack(np.linalg.svd, self.basis, full_matrices=True)
         return Subspace(self.dim, canonical_sign_columns(u[:, self.dimension:]))
 
     def contains(self, v, tol: float = 1e-10) -> bool:
@@ -292,10 +301,10 @@ class Subspace:
         if small.dimension == 0:
             return np.zeros(0)
         cosines = np.clip(
-            np.linalg.svd(small.basis.T @ big.basis, compute_uv=False), -1.0, 1.0
+            _lapack(np.linalg.svd, small.basis.T @ big.basis, compute_uv=False), -1.0, 1.0
         )
         residual = small.basis - big.basis @ (big.basis.T @ small.basis)
-        sines = np.clip(np.sort(np.linalg.svd(residual, compute_uv=False)), 0.0, 1.0)
+        sines = np.clip(np.sort(_lapack(np.linalg.svd, residual, compute_uv=False)), 0.0, 1.0)
         return np.where(cosines**2 > 0.5, np.arcsin(sines), np.arccos(cosines))
 
     def angle_to(self, other: "Subspace") -> float:
@@ -312,6 +321,6 @@ class Subspace:
         """Common subspace, via the eigenvalue-2 eigenspace of P_self + P_other."""
         if self.dim != other.dim:
             raise ValueError("subspaces live in different ambient dimensions")
-        eigenvalues, vectors = np.linalg.eigh(self.projector() + other.projector())
+        eigenvalues, vectors = _lapack(np.linalg.eigh, self.projector() + other.projector())
         keep = eigenvalues >= 2.0 - tol
         return Subspace(self.dim, canonical_sign_columns(vectors[:, keep]))

@@ -224,6 +224,38 @@ class TestCliContract:
         assert results["kappa"] / 1e200 == pytest.approx(0.7, abs=1e-12)
         assert results["tau"] == 1
 
+    def test_decompose_numerical_failure_exits_two(self, tmp_path):
+        path = tmp_path / "near_max.json"
+        model = build_model(0.7, 1, random_skew(6, 1))
+        save_tensor(CurvatureTensor(6, model.components * 1e306), path)
+        result = run_cli("decompose", str(path))
+        assert result.returncode == 2
+        assert "NumericalFailure" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_generate_dimension_below_two_exits_one(self, tmp_path, dim):
+        out = tmp_path / "t.json"
+        result = run_cli("generate", "--dim", dim, "--kappa", "1", "--tau", "0", "--out", str(out))
+        assert result.returncode == 1
+        assert f"dimension must be at least 2, got {dim}" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--dims", "0"), "dimension must be at least 2, got 0"),
+            (("--dims", "4,-2"), "dimension must be at least 2, got -2"),
+            (("--trials", "0"), "trials must be at least 1, got 0"),
+            (("--trials=-1",), "trials must be at least 1, got -1"),
+        ],
+    )
+    def test_lemma_suite_bad_counts_exit_one(self, args, message):
+        result = run_cli("lemma-suite", *args)
+        assert result.returncode == 1
+        assert message in result.stderr
+        assert result.stdout == ""
+
     def test_missing_file_exits_one(self, tmp_path):
         result = run_cli("decompose", str(tmp_path / "absent.json"))
         assert result.returncode == 1
@@ -343,3 +375,44 @@ class TestCliContract:
         result = run_cli("lemma-suite", "--dims", "4", "--trials", "4", "--seed", "1")
         assert result.returncode == 0, result.stdout + result.stderr
         assert "all passed" in result.stdout
+
+
+# Modules each subcommand may load.  The script runs the CLI as ``python -m``
+# does and prints the curvlab submodules loaded when the process exits.
+LOADED_MODULES_SCRIPT = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.startswith('curvlab.'))))\n"
+    "runpy.run_module('curvlab.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [
+        ("fit-distribution", "errors io linalg sphere"),
+        ("generate", "curvature errors io linalg"),
+        ("decompose", "curvature errors io isotropy linalg"),
+        ("classify", "curvature errors io isotropy kahler linalg"),
+        ("lemma-suite", "curvature errors io isotropy kahler lemmas linalg models sphere"),
+    ],
+)
+def test_subcommand_loads_only_its_modules(tmp_path, command, loaded):
+    tensor = tmp_path / "tensor.json"
+    save_tensor(build_model(1.0, 1, standard_complex_structure(4)), tensor)
+    samples = tmp_path / "samples.json"
+    a = random_skew(4, 2)
+    entries = [(s, distribution_at(a, s).basis.T) for s in unit_sphere_samples(4, 12, seed=2)]
+    save_samples(DistributionSamples(4, entries), samples)
+    args = {
+        "fit-distribution": [str(samples)],
+        "generate": ["--dim", "4", "--kappa", "1", "--tau", "0", "--out", str(tmp_path / "g.json")],
+        "decompose": [str(tensor)],
+        "classify": [str(tensor)],
+        "lemma-suite": ["--dims", "4", "--trials", "1"],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT, command, *args],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == [f"curvlab.{m}" for m in loaded.split()]

@@ -10,6 +10,7 @@ from curvlab import (
     NoDominantEigenvalue,
     NonPositiveTolerance,
     NotAlmostIsotropic,
+    NumericalFailure,
     Subspace,
     almost_isotropy_scan,
     build_model,
@@ -325,6 +326,13 @@ class TestRecoverDecomposition:
         assert decomposition.tau == 1
         assert skew_match(decomposition.skew / np.sqrt(scale), a) < 1e-9
         assert decomposition.residual < 1e-12
+
+    def test_near_float_max_raises_numerical_failure(self):
+        # the deflation shift overflows near 1e306 / d; numpy's LinAlgError
+        # must surface as a package error, not as a ValueError
+        tensor = CurvatureTensor(6, build_model(0.7, 1, random_skew(6, 1)).components * 1e306)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+            recover_decomposition(tensor, 1e-9)
 
     def test_dimension_three_roundtrip(self):
         a = random_skew(3, 9)
