@@ -97,6 +97,8 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
 
 def cmd_generate(args) -> int:
     tol = _resolve_tol(args.tol)
+    if args.dim < 2:  # before the A-spec, which would report it as a rejection
+        raise ValueError(f"dimension must be at least 2, got {args.dim}")
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
     tensor = _this.build_model(
         args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)

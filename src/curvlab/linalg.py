@@ -80,6 +80,8 @@ def require_skew(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSkew(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise NotSkew(f"{name} must not be empty, got shape {a.shape}")
     resid = float(np.max(np.abs(a + a.T)))
     if resid > tol * scale_of(a):
         raise NotSkew(f"{name} is not skew symmetric: residual {resid:.3e}")

@@ -11,7 +11,7 @@ D[A] at points mixing kernel and non-kernel directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +19,68 @@ from .errors import EmptySamples, NotOrthonormal, PreconditionViolated, ZeroOper
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _lapack,
     canonical_sign_matrix,
     null_space,
     require_skew,
     require_unit,
     scale_of,
-    symmetric_spectrum,
 )
 
 _SAMPLE_TOL = 1e-10
+
+#: Sample points per block of the fit; bounds its scratch memory for any point count.
+_FIT_BLOCK = 64
+
+
+def _split(array: np.ndarray, offsets: list[int]) -> list[np.ndarray]:
+    """Views of array[offsets[e]:offsets[e + 1]], one per entry e."""
+    return [array[start:stop] for start, stop in zip(offsets, offsets[1:])]
+
+
+def _stack(arrays, empty: np.ndarray):
+    """The arrays end to end, where each starts (then the total), and each row's array.
+
+    ``empty`` gives the shape of the result when there are no arrays.
+    """
+    offsets = np.cumsum([0, *map(len, arrays)]).tolist()
+    owner = np.repeat(np.arange(len(arrays)), np.diff(offsets))
+    return np.concatenate([empty, *arrays]), offsets, owner
+
+
+def _entries_with(flags, owner, count: int) -> np.ndarray:
+    """Per entry: does one of its rows carry a flag?"""
+    return np.bincount(owner, weights=flags, minlength=count) > 0
+
+
+def _raise_first(checks) -> None:
+    """Raise the fault that checking the entries one at a time would meet first.
+
+    ``checks`` pairs a boolean array over entries (True where the entry
+    fails) with its message, in the order the checks run within one entry.
+    """
+    found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks) if np.any(bad)]
+    if found:
+        raise ValueError(checks[min(found)[1]][1])
+
+
+def _normalized(points, blocks, dim: int) -> list:
+    """Entries rescaled to unit base points and unit tangents; zero vectors are rejected.
+
+    Base points keep their shapes; any shape other than (dim,) is left for
+    the constructor to reject, after the zero checks of every entry.
+    """
+    flat, flat_offsets, flat_owner = _stack([s.ravel() for s in points], np.zeros(0))
+    base = np.sqrt(np.bincount(flat_owner, weights=flat * flat, minlength=len(points)))
+    rows, offsets, owner = _stack(blocks, np.zeros((0, dim)))
+    row_norms = np.linalg.norm(rows, axis=1)
+    _raise_first([
+        (base == 0, "base point must be nonzero"),
+        (_entries_with(row_norms == 0, owner, len(blocks)), "tangent vectors must be nonzero"),
+    ])
+    flat = _split(flat / base[flat_owner], flat_offsets)
+    rows = _split(rows / row_norms[:, None], offsets)
+    return [(f.reshape(s.shape), t) for f, s, t in zip(flat, points, rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,51 +88,88 @@ class DistributionSamples:
     """Sampled tangent data: pairs of a unit base point and tangent vectors.
 
     Each entry is ``(s, tangents)`` with s a unit vector and tangents a
-    (k, dim) array of unit rows orthogonal to s; k may be zero.
+    (k, dim) array of unit rows orthogonal to s; k may be zero.  The data is
+    held stacked: base points as the rows of one (P, dim) array, and every
+    tangent, entry after entry, as the rows of one (N, dim) array; each entry
+    is a pair of views into them.  Each check runs once over all rows, and a
+    rejection reports the fault that checking the entries in order would
+    meet first.
     """
 
     dim: int
     entries: list[tuple[np.ndarray, np.ndarray]]
+    _points: np.ndarray = field(init=False, repr=False)
+    _rows: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        checked = []
-        for s, tangents in self.entries:
-            s = np.asarray(s, dtype=float)
-            tangents = np.asarray(tangents, dtype=float).reshape(-1, self.dim)
-            if s.shape != (self.dim,):
-                raise ValueError(f"base point has shape {s.shape}, expected ({self.dim},)")
-            if not (np.all(np.isfinite(s)) and np.all(np.isfinite(tangents))):
-                raise ValueError("sample data must be finite")
-            if abs(np.linalg.norm(s) - 1.0) > _SAMPLE_TOL:
-                raise ValueError("base point is not a unit vector")
-            if tangents.size:
-                norms = np.linalg.norm(tangents, axis=1)
-                if np.max(np.abs(norms - 1.0)) > _SAMPLE_TOL:
-                    raise ValueError("tangent vectors must be normalized")
-                if np.max(np.abs(tangents @ s)) > _SAMPLE_TOL:
-                    raise ValueError("tangent vectors must be orthogonal to the base point")
-            checked.append((s, tangents))
-        object.__setattr__(self, "entries", checked)
+        dim = self.dim
+        points, blocks = [], []
+        try:
+            for s, tangents in self.entries:
+                s = np.asarray(s, dtype=float)
+                tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+                if s.shape != (dim,):
+                    raise ValueError(f"base point has shape {s.shape}, expected ({dim},)")
+                points.append(s)
+                blocks.append(tangents)
+        except (TypeError, ValueError):
+            self._check(points, blocks)  # a fault in an earlier entry comes first
+            raise
+        points, rows, offsets = self._check(points, blocks)
+        object.__setattr__(self, "entries", list(zip(points, _split(rows, offsets))))
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_offsets", np.array(offsets))
+
+    def _check(self, points, blocks):
+        """Stack the converted entries and check them: one norm and one dot per row."""
+        points = np.array(points).reshape(-1, self.dim)
+        rows, offsets, owner = _stack(blocks, np.zeros((0, self.dim)))
+        count = len(blocks)
+        overlaps = np.einsum("ij,ij->i", rows, points[owner])
+        _raise_first([
+            (~np.isfinite(points).all(axis=1)
+             | _entries_with(~np.isfinite(rows).all(axis=1), owner, count),
+             "sample data must be finite"),
+            (np.abs(np.linalg.norm(points, axis=1) - 1.0) > _SAMPLE_TOL,
+             "base point is not a unit vector"),
+            (_entries_with(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > _SAMPLE_TOL, owner, count),
+             "tangent vectors must be normalized"),
+            (_entries_with(np.abs(overlaps) > _SAMPLE_TOL, owner, count),
+             "tangent vectors must be orthogonal to the base point"),
+        ])
+        return points, rows, offsets
 
     @classmethod
     def from_raw(cls, dim: int, entries) -> "DistributionSamples":
         """Build from unnormalized data, rescaling base points and tangents."""
-        prepared = []
-        for s, tangents in entries:
-            s = np.asarray(s, dtype=float)
-            norm = np.linalg.norm(s)
-            if norm == 0:
-                raise ValueError("base point must be nonzero")
-            tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
-            t_norms = np.linalg.norm(tangents, axis=1)
-            if np.any(t_norms == 0):
-                raise ValueError("tangent vectors must be nonzero")
-            prepared.append((s / norm, tangents / t_norms[:, None]))
-        return cls(dim, prepared)
+        points, blocks = [], []
+        try:
+            for s, tangents in entries:
+                points.append(np.asarray(s, dtype=float))
+                blocks.append(np.asarray(tangents, dtype=float).reshape(-1, dim))
+        except (TypeError, ValueError):
+            _normalized(points, blocks, dim)  # a zero vector in an earlier entry comes first
+            raise
+        return cls(dim, _normalized(points, blocks, dim))
 
     @property
     def tangent_count(self) -> int:
-        return sum(t.shape[0] for _, t in self.entries)
+        return int(self._offsets[-1])
+
+    def _blocks(self):
+        """(base points, their tangent rows, row counts) for up to _FIT_BLOCK points at a time.
+
+        Points without tangents contribute nothing and are left out.
+        """
+        for start in range(0, len(self._points), _FIT_BLOCK):
+            offsets = self._offsets[start:start + _FIT_BLOCK + 1]
+            counts = np.diff(offsets)
+            keep = counts > 0
+            if np.any(keep):
+                yield (self._points[start:start + _FIT_BLOCK][keep],
+                       self._rows[offsets[0]:offsets[-1]], counts[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,37 +225,80 @@ def tangency_profile(a, s, w, times) -> float:
     return float(np.max(np.abs(overlaps)))
 
 
+def _gram_stack(rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """T^T T for each run of ``counts`` consecutive rows T (every count positive).
+
+    The runs are zero-padded to the longest one, so one batched product
+    forms every Gram matrix.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(rows.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((counts.size, int(counts.max()), rows.shape[1]))
+    padded[owner, slot] = rows
+    return padded.transpose(0, 2, 1) @ padded
+
+
+def _fit_form(samples: DistributionSamples) -> np.ndarray:
+    """The fit's quadratic form F on the m = d(d-1)/2 entries a[i, j], i < j.
+
+    With P = T^T T the Gram matrix of a point's tangent rows and S = s s^T,
+
+        F[(i,j),(k,l)] = sum over points of
+                         P[i,k] S[j,l] + S[i,k] P[j,l] - P[i,l] S[j,k] - S[i,l] P[j,k],
+
+    the antisymmetrization of sum P (x) S over both index pairs.  The rows
+    (i, j > i) of F, one slab i at a time, come from two (d x n)(n x d^2)
+    products over a block of n points: O(d^4) per point, where summing
+    G^T G over the (k x m) rows G of a point's k tangents costs O(k d^4).
+    Points are taken _FIT_BLOCK at a time, so memory is O(m^2 + d^3)
+    whatever the number of points or tangents (a point with k > d tangents
+    adds O(k d)).
+    """
+    d = samples.dim
+    upper_i, upper_j = np.triu_indices(d, k=1)
+    slab = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))  # rows of (i, j > i)
+    form = np.zeros((upper_i.size, upper_i.size))
+    for points, rows, counts in samples._blocks():
+        n = counts.size
+        gram = _gram_stack(rows, counts)
+        outer = points[:, :, None] * points[:, None, :]
+        for i in range(d - 1):
+            # c[k, (j, l)] = sum over points of P[i,k] S[j,l] + S[i,k] P[j,l], j > i
+            c = gram[:, i].T @ outer[:, i + 1:].reshape(n, -1)
+            c += outer[:, i].T @ gram[:, i + 1:].reshape(n, -1)
+            c = c.reshape(d, d - 1 - i, d).transpose(1, 0, 2)
+            form[slab[i]:slab[i + 1]] += c[:, upper_i, upper_j] - c[:, upper_j, upper_i]
+    return form
+
+
 def fit_skew_from_samples(samples: DistributionSamples) -> FitResult:
     """Recover the projective class [A] that the sampled tangents annihilate.
 
-    Minimizes Q(A) = sum <t, As>^2 over skew A with ||A||_F = 1 by
-    assembling the quadratic form on the m = d(d-1)/2 independent entries
-    and taking its least eigenvector.  With ``i, j = triu_indices(d, 1)``,
-    the overlap <t, As> is g . a[i, j] for the row g = t[i] s[j] - s[i] t[j],
-    so an entry (s, T) with k tangent rows contributes G^T G, where
-    G = T[:, i] * s[j] - s[i] * T[:, j] has shape (k, m): one matrix
-    product per sample point.  Time is O(N m^2) for N tangents in all, and
-    memory O(m^2 + k m), independent of N.
+    Minimizes Q(A) = sum <t, As>^2 over skew A with ||A||_F = 1: the least
+    eigenvector of the quadratic form of ``_fit_form``.  Time is
+    O(P d^4 + m^3) for P points and m = d(d-1)/2, memory O(m^2 + d^3).  The
+    O(m^3) = O(d^6) term is the full ``eigh`` of the m x m form: the fit
+    needs only the two least eigenvalues and one eigenvector, but numpy has
+    no solver for a subset of the spectrum.
     """
     if samples.tangent_count == 0:
         raise EmptySamples("no tangent vectors to fit against")
     d = samples.dim
-    upper_i, upper_j = np.triu_indices(d, k=1)
-    m = upper_i.size
-    form = np.zeros((m, m))
-    for s, tangents in samples.entries:
-        g = tangents[:, upper_i] * s[upper_j] - s[upper_i] * tangents[:, upper_j]
-        form += g.T @ g
-    eigenvalues, vectors = symmetric_spectrum(form)
+    form = _fit_form(samples)
+    # only column 0 is read, and canonical_sign_matrix fixes the sign of skew
+    eigenvalues, vectors = _lapack(np.linalg.eigh, form)
     skew = np.zeros((d, d))
-    skew[upper_i, upper_j] = vectors[:, 0]
+    skew[np.triu_indices(d, k=1)] = vectors[:, 0]
     skew = skew - skew.T
     skew /= float(np.linalg.norm(skew))
     skew = canonical_sign_matrix(skew)
     # summed from the overlaps, not read as a^T F a: the form's rounding
     # would put it near 1e-15 at exact samples, where the overlaps give 1e-30
-    residual = sum(float(np.sum((t @ (skew @ s)) ** 2)) for s, t in samples.entries)
-    gap = float(eigenvalues[1] - eigenvalues[0]) if m >= 2 else float("inf")
+    residual = 0.0
+    for points, rows, counts in samples._blocks():
+        overlaps = np.einsum("ij,ij->i", rows, np.repeat(points @ skew.T, counts, axis=0))
+        residual += float(overlaps @ overlaps)
+    gap = float(eigenvalues[1] - eigenvalues[0]) if form.shape[0] >= 2 else float("inf")
     return FitResult(skew=skew, residual=residual, gap=gap)
 
 

@@ -107,6 +107,11 @@ class TestBuildRA:
         with pytest.raises(NotSkew):
             build_ra(np.eye(3))
 
+    @pytest.mark.parametrize("build", [build_ra, lambda a: build_model(1.0, 0, a)])
+    def test_empty_operator_rejected(self, build):
+        with pytest.raises(NotSkew, match=r"operator must not be empty, got shape \(0, 0\)"):
+            build(np.zeros((0, 0)))
+
     def test_symmetries_exact(self):
         report = validate_symmetries(build_ra(random_skew(6, 2)))
         assert report.worst_base_residual < 1e-13

@@ -241,6 +241,20 @@ class TestCliContract:
         assert f"dimension must be at least 2, got {dim}" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", ["0", "-2", "3"])
+    def test_generate_complex_structure_dimension(self, tmp_path, dim):
+        # a dimension below 2 is malformed input, checked before --A J can reject it
+        out = tmp_path / "t.json"
+        result = run_cli(
+            "generate", "--dim", dim, "--kappa", "1", "--tau", "1", "--A", "J", "--out", str(out))
+        if dim == "3":
+            assert result.returncode == 2
+            assert "OddDimension" in result.stderr
+        else:
+            assert result.returncode == 1
+            assert f"dimension must be at least 2, got {dim}" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, message",
         [

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,13 @@ from curvlab import (
     DistributionSamples,
     EmptySamples,
     NotOrthonormal,
+    ParseError,
     PreconditionViolated,
     Subspace,
     ZeroOperator,
     distribution_at,
     fit_skew_from_samples,
+    load_samples,
     random_skew,
     sphere_structure_check,
     standard_complex_structure,
@@ -21,6 +24,7 @@ from curvlab import (
     unit_sphere_samples,
 )
 from curvlab.models import block_diagonal_skew, plane_operator
+from curvlab.sphere import _fit_form
 
 from _oracles import oracle_fit_form
 
@@ -63,6 +67,31 @@ def fit_case(kind, d, seed):
             tangents = tangents[index % tangents.shape[0]][None, :]
         entries.append((s, tangents))
     return DistributionSamples(d, entries)
+
+
+def tangent_mix(d, points, seed):
+    """Exact samples of a planted operator; entries hold 0, 1 and d - 2 tangents in turn."""
+    a = random_skew(d, seed)
+    entries = []
+    for index, s in enumerate(unit_sphere_samples(d, d + points, seed)[d:]):
+        entries.append((s, distribution_at(a, s).basis.T[: (0, 1, d - 2)[index % 3]]))
+    return DistributionSamples(d, entries)
+
+
+def valid_entries():
+    """Three valid entries in R^3 holding 2, 1 and 0 tangents."""
+    return [
+        ([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        ([0.0, 1.0, 0.0], [[1.0, 0.0, 0.0]]),
+        ([0.0, 0.0, 1.0], []),
+    ]
+
+
+def with_fault(index, s=None, tangents=None):
+    entries = valid_entries()
+    old_s, old_tangents = entries[index]
+    entries[index] = (old_s if s is None else s, old_tangents if tangents is None else tangents)
+    return entries
 
 
 class TestDistributionAt:
@@ -210,6 +239,33 @@ class TestFitSkewFromSamples:
         assert first.residual == second.residual
         assert first.gap == second.gap
 
+    @pytest.mark.parametrize("d", [4, 6, 8, 16])
+    def test_form_matches_per_tangent_oracle(self, d):
+        # 100 points fill more than one block of the assembly
+        samples = tangent_mix(d, 100, seed=d)
+        expected = oracle_fit_form(samples)
+        form = _fit_form(samples)
+        assert np.max(np.abs(form - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("points", [18, 1600])
+    def test_memory_independent_of_point_count(self, points):
+        # points are taken in fixed blocks, so d + 2 and 100 d points share
+        # one O(m^2 + d^3) bound; stacking every point's d x d Gram matrix,
+        # or every tangent row, would exceed it at 100 d points
+        d = 16
+        m = d * (d - 1) // 2
+        a = random_skew(d, 6)
+        entries = [(s, distribution_at(a, s).basis.T)
+                   for s in unit_sphere_samples(d, d + points, seed=6)[d:]]
+        samples = DistributionSamples(d, entries)
+        tracemalloc.start()
+        try:
+            fit_skew_from_samples(samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * (m * m + d**3)
+
     def test_memory_independent_of_tangent_count(self):
         # per-point assembly keeps O(m^2 + k m) scratch; stacking all N
         # tangent rows into one (N, m) matrix would exceed the bound
@@ -327,3 +383,100 @@ class TestDistributionSamplesValidation:
         s, rows = samples.entries[0]
         assert np.array_equal(s, [0.0, 0.0, 1.0])
         assert rows.shape == (0, 3)
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (with_fault(1, s=[0.0, 1.0, 0.0, 0.0]), "base point has shape (4,), expected (3,)"),
+            (with_fault(1, s=[0.0, float("nan"), 0.0]), "sample data must be finite"),
+            (with_fault(1, tangents=[[float("inf"), 0.0, 0.0]]), "sample data must be finite"),
+            (with_fault(1, s=[0.0, 2.0, 0.0]), "base point is not a unit vector"),
+            (with_fault(1, tangents=[[2.0, 0.0, 0.0]]), "tangent vectors must be normalized"),
+            (with_fault(1, tangents=[[0.0, 1.0, 0.0]]),
+             "tangent vectors must be orthogonal to the base point"),
+        ],
+    )
+    def test_single_fault_message(self, entries, message):
+        with pytest.raises(ValueError) as caught:
+            DistributionSamples(3, entries)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (with_fault(1, s=[0.0, 0.0, 0.0]), "base point must be nonzero"),
+            (with_fault(1, tangents=[[0.0, 0.0, 0.0]]), "tangent vectors must be nonzero"),
+            (with_fault(1, s=[0.0, 3.0, 0.0], tangents=[[0.0, 1.0, 0.0]]),
+             "tangent vectors must be orthogonal to the base point"),
+        ],
+    )
+    def test_from_raw_single_fault_message(self, entries, message):
+        with pytest.raises(ValueError) as caught:
+            DistributionSamples.from_raw(3, entries)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "build, entries, message",
+        [
+            # the entry checked first decides, whatever the later entries hold
+            (DistributionSamples, [(valid_entries()[0][0], [[1.0, 0.0, 0.0]]),
+                                   ([float("nan"), 1.0, 0.0], [])],
+             "tangent vectors must be orthogonal to the base point"),
+            (DistributionSamples, [([2.0, 0.0, 0.0], []), ([1.0, 0.0], [])],
+             "base point is not a unit vector"),
+            (DistributionSamples.from_raw, [([1.0, 0.0, 0.0], [[0.0, 0.0, 0.0]]),
+                                            ([0.0, 0.0, 0.0], [])],
+             "tangent vectors must be nonzero"),
+            # within one entry the base point is checked before the tangents are read
+            (DistributionSamples.from_raw, [([0.0, 0.0, 0.0], [1.0, 2.0])],
+             "base point must be nonzero"),
+        ],
+    )
+    def test_first_fault_in_entry_order(self, build, entries, message):
+        with pytest.raises(ValueError) as caught:
+            build(3, entries)
+        assert str(caught.value) == message
+
+
+class TestLoadSamplesRejections:
+    @staticmethod
+    def write(tmp_path, entries):
+        payload = {
+            "schema_version": 1,
+            "dim": 3,
+            "entries": [
+                entry if not isinstance(entry, tuple) else {"s": entry[0], "tangents": entry[1]}
+                for entry in entries
+            ],
+        }
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (valid_entries()[:1] + ["x"], "entry 1 must have 's' and 'tangents'"),
+            (with_fault(1, s=["a", 1.0, 0.0]), "entry 1 base point: expected numbers"),
+            (with_fault(1, s=[0.0, float("nan"), 0.0]), "entry 1 base point: values must be finite"),
+            (with_fault(1, s=[0.0, 1.0]), "entry 1 base point has wrong length"),
+            (with_fault(1, tangents=[[1.0, "a", 0.0]]), "entry 1 tangents: expected numbers"),
+            (with_fault(1, tangents=[[float("inf"), 0.0, 0.0]]),
+             "entry 1 tangents: values must be finite"),
+            (with_fault(1, s=[0.0, 0.0, 0.0]), "base point must be nonzero"),
+            (with_fault(1, tangents=[[0.0, 0.0, 0.0]]), "tangent vectors must be nonzero"),
+            (with_fault(1, tangents=[[0.0, 2.0, 0.0]]),
+             "tangent vectors must be orthogonal to the base point"),
+        ],
+    )
+    def test_single_fault_message(self, tmp_path, entries, message):
+        path = self.write(tmp_path, entries)
+        with pytest.raises(ParseError) as caught:
+            load_samples(path)
+        assert str(caught.value) == f"{path}: {message}"
+
+    def test_valid_file_loads_normalized(self, tmp_path):
+        path = self.write(tmp_path, with_fault(1, s=[0.0, 4.0, 0.0]))
+        samples = load_samples(path)
+        assert [t.shape[0] for _, t in samples.entries] == [2, 1, 0]
+        assert np.array_equal(samples.entries[1][0], [0.0, 1.0, 0.0])
