@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Time the library stages in process, one dimension at a time.
+
+For each dimension d, builds a Kahler model kappa R1 + RA with A = mu J for
+a rotated complex structure J (mu^2 = kappa, so ``classify_kahler`` reaches
+Case 3 through a full recovery) and sphere samples of the distribution of
+A, then times each stage on it.  A stage's time is the median of
+``--repeats`` calls.  Stages that the benchmark traces use its per-layer
+names from BENCHMARK.json; the Jacobi operators (one call at the scan's
+default 2d samples) and ``nullity_space`` have no benchmark name and are
+reported as ``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.
+
+Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
+{d: median seconds}}}.  Run it as
+
+    PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
+"""
+
+import argparse
+import json
+import statistics
+import time
+
+import numpy as np
+
+from curvlab import (
+    DistributionSamples,
+    almost_isotropy_scan,
+    build_model,
+    classify_kahler,
+    distribution_at,
+    fit_skew_from_samples,
+    jacobi_operator,
+    nullity_space,
+    recover_decomposition,
+    standard_complex_structure,
+    unit_sphere_samples,
+    validate_symmetries,
+)
+
+KAPPA = 0.7
+
+
+def stages(d: int):
+    """(name, zero-argument call) for every timed stage at dimension d."""
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    j = q @ standard_complex_structure(d) @ q.T
+    a = np.sqrt(KAPPA) * j
+    tensor = build_model(KAPPA, 1, a)
+    directions = unit_sphere_samples(d, 2 * d, seed=1)
+    points = unit_sphere_samples(d, d + 2 * d, seed=2)[d:]
+    samples = DistributionSamples(d, [(s, distribution_at(a, s).basis.T) for s in points])
+    return [
+        ("curvature.build_model_s", lambda: build_model(KAPPA, 1, a)),
+        ("curvature.validate_symmetries_s", lambda: validate_symmetries(tensor)),
+        ("curvature.validate_symmetries_j_s", lambda: validate_symmetries(tensor, j)),
+        ("curvature.jacobi_operator_s", lambda: jacobi_operator(tensor, directions)),
+        ("isotropy.almost_isotropy_scan_s", lambda: almost_isotropy_scan(tensor)),
+        ("isotropy.recover_decomposition_s", lambda: recover_decomposition(tensor)),
+        ("kahler.classify_kahler_s", lambda: classify_kahler(tensor, j)),
+        ("curvature.nullity_space_s", lambda: nullity_space(tensor)),
+        ("sphere.fit_skew_from_samples_s", lambda: fit_skew_from_samples(samples)),
+    ]
+
+
+def median_seconds(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dims", default="4,8,16,32,48",
+                        help="comma-separated even dimensions (default 4,8,16,32,48)")
+    parser.add_argument("--repeats", type=int, default=3, help="calls per stage (default 3)")
+    args = parser.parse_args(argv)
+    dims = [int(part) for part in args.dims.split(",")]
+    if any(d < 2 or d % 2 for d in dims) or args.repeats < 1:
+        parser.error("dimensions must be even and at least 2, repeats at least 1")
+    seconds: dict[str, dict[str, float]] = {}
+    for d in dims:
+        for name, call in stages(d):
+            seconds.setdefault(name, {})[str(d)] = median_seconds(call, args.repeats)
+    print(json.dumps({"dims": dims, "repeats": args.repeats, "seconds": seconds}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

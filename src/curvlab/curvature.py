@@ -56,7 +56,7 @@ class CurvatureTensor:
             raise ValueError(
                 f"components must have shape {(self.dim,) * 4}, got {c.shape}"
             )
-        if not np.isfinite(c).all():
+        if not (np.isfinite(c.max()) and np.isfinite(c.min())):  # NaN propagates
             raise NonFiniteComponents("components must be finite (found NaN or inf)")
         object.__setattr__(self, "components", c)
 
@@ -69,7 +69,7 @@ class CurvatureTensor:
 
     @property
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.components)))
+        return _max_abs(self.components)
 
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
@@ -118,24 +118,59 @@ class SymmetryReport:
         )
 
 
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| over all entries, read in two reductions with no |x| temporary."""
+    return abs(float(max(x.max(), -x.min())))
+
+
+def _model_slab(out, i, kappa, tau, a, scratch) -> None:
+    """Write slab i of kappa R1 + tau RA: out[j, k, l] = R[i, j, k, l].
+
+    O(d^3) time, with one d^3 ``scratch``.  Every entry is bitwise equal to
+    the einsum build ``kappa * R1 + tau * (2 E1 + E2 - E3)``, signed zeros
+    included: einsum adds each product to +0.0, so the RA sum has no -0.0,
+    while tau = -1 and kappa <= -0.0 leave -0.0 where the sum vanishes.
+    R1 is kappa * 0.0 except at [j, j, i] (kappa) and [j, i, j] (-kappa).
+    """
+    zero = kappa * 0.0
+    others = np.flatnonzero(np.arange(out.shape[0]) != i)
+    if tau == 0:
+        out.fill(zero)
+        diagonal = cross = -0.0  # kappa R1 + (-0.0) is kappa R1 exactly
+    else:
+        np.multiply(a[i][:, None, None], a.T, out=out)  # A_ij A_lk
+        out *= 2.0
+        np.multiply(a[i][:, None], a.T[:, None, :], out=scratch)  # A_ik A_lj
+        out += scratch
+        np.multiply(a[:, :, None], a[:, i], out=scratch)  # A_jk A_li
+        out -= scratch
+        out += 0.0  # einsum's +0.0: the RA sum holds no -0.0
+        if tau < 0:
+            np.negative(out, out=out)
+        diagonal, cross = out[others, others, i], out[others, i, others]
+        if tau < 0:  # for tau = 1, adding kappa * 0.0 changes nothing
+            out += zero
+    out[others, others, i] = kappa + diagonal
+    out[others, i, others] = -kappa + cross
+
+
+def _model_components(kappa: float, tau: int, a: np.ndarray) -> np.ndarray:
+    d = a.shape[0]
+    comp, scratch = np.empty((d,) * 4), np.empty((d,) * 3)
+    for i in range(d):
+        _model_slab(comp[i], i, float(kappa), tau, a, scratch)
+    return comp
+
+
 def build_r1(dim: int) -> CurvatureTensor:
     """Constant-curvature-one tensor R1[i,j,k,l] = d_jk d_il - d_ik d_jl."""
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    eye = np.eye(dim)
-    comp = np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
-    return CurvatureTensor(dim, comp)
+    return build_model(1.0, 0, dim=dim)
 
 
 def build_ra(a) -> CurvatureTensor:
     """Skew-operator tensor RA[i,j,k,l] = 2 A_ij A_lk + A_ik A_lj - A_jk A_li."""
     a = require_skew(a)
-    comp = (
-        2.0 * np.einsum("ij,lk->ijkl", a, a)
-        + np.einsum("ik,lj->ijkl", a, a)
-        - np.einsum("jk,li->ijkl", a, a)
-    )
-    return CurvatureTensor(a.shape[0], comp)
+    return CurvatureTensor(a.shape[0], _model_components(0.0, 1, a))
 
 
 def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> CurvatureTensor:
@@ -143,7 +178,11 @@ def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> Curva
 
     tau must be -1, 0, or +1, and tau = 0 exactly when A = 0 (any overall
     scale belongs in A, not tau).  When tau = 0 the operator may be omitted
-    and ``dim`` given instead.
+    and ``dim`` given instead.  The array is filled one slab R[i] at a time,
+    in O(d^4) time with O(d^3) memory beyond the output.  It is bitwise
+    equal to the einsum build of the formula, signed zeros included:
+    tau = -1 with kappa <= -0.0 leaves -0.0 wherever RA vanishes, and every
+    other zero is +0.0.
     """
     if tau not in (-1, 0, 1):
         raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
@@ -162,10 +201,7 @@ def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> Curva
         raise ConventionViolation("tau = 0 requires A = 0")
     if tau != 0 and is_zero:
         raise ConventionViolation("tau != 0 requires a nonzero A")
-    result = kappa * build_r1(a.shape[0])
-    if tau != 0:
-        result = result + tau * build_ra(a)
-    return result
+    return CurvatureTensor(a.shape[0], _model_components(kappa, tau, a))
 
 
 def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
@@ -175,16 +211,23 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
     identity over all index quadruples.  The Kahler residual compares
     R(x, y)z against R(Jx, Jy)z and is computed only when ``j`` is given.
 
-    The base residuals cost O(d^4).  The Kahler residual rotates the first
-    two slots by J with two matrix products, one over each slot, which
-    costs O(d^5) time and O(d^4) memory for any orthogonal ``j``.
+    The base residuals are read one slab c[i] at a time, in O(d^4) time
+    with one d^3 scratch array, and equal the full-array residuals bit for
+    bit.  The Kahler residual rotates the first two slots by J with two
+    matrix products over each block of d (k, l) columns: O(d^5) time and
+    O(d^3) extra memory for any orthogonal ``j``.
     """
-    c = r.components
-    anti = float(np.max(np.abs(c + c.transpose(1, 0, 2, 3))))
-    pair = float(np.max(np.abs(c - c.transpose(2, 3, 0, 1))))
-    bianchi = float(
-        np.max(np.abs(c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3)))
-    )
+    c, d = r.components, r.dim
+    scratch = np.empty((d,) * 3)
+    anti = pair = bianchi = 0.0
+    for i in range(d):
+        # c[i, j, k, l] plus c[j, i, k, l]; c[k, l, i, j] minus c[i, j, k, l],
+        # laid out as [k, l, j] so that the transposed read is the slab c[i];
+        # c[i, j, k, l] plus c[k, i, j, l] and c[j, k, i, l]
+        anti = max(anti, _max_abs(np.add(c[i], c[:, i], out=scratch)))
+        pair = max(pair, _max_abs(np.subtract(c[:, :, i], c[i].transpose(1, 2, 0), out=scratch)))
+        np.add(c[i], c[:, i].transpose(1, 0, 2), out=scratch)
+        bianchi = max(bianchi, _max_abs(np.add(scratch, c[:, :, i], out=scratch)))
     kahler = None
     if j is not None:
         j = require_complex_structure(j)
@@ -192,13 +235,13 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
             raise DimensionMismatch(
                 f"complex structure is {j.shape[0]}-dimensional, tensor is {r.dim}"
             )
-        d = r.dim
-        # rotated[i, j, kl] = sum_ab J[a, i] J[b, j] c[a, b, kl] as two GEMMs:
-        # first over a, then over b batched across i
-        half = (j.T @ c.reshape(d, d**3)).reshape(d, d, d * d)
-        rotated = np.matmul(j.T, half)
-        np.subtract(c.reshape(d, d, d * d), rotated, out=rotated)
-        kahler = float(np.max(np.abs(rotated, out=rotated)))
+        # rotated[i, j, kl] = sum_ab J[a, i] J[b, j] c[a, b, kl] as two GEMMs,
+        # first over b batched across a, then over a
+        kahler, columns = 0.0, c.reshape(d, d, d * d)
+        for start in range(0, d * d, d):
+            block = columns[:, :, start:start + d]
+            rotated = (j.T @ np.matmul(j.T, block).reshape(d, d * d)).reshape(d, d, d)
+            kahler = max(kahler, _max_abs(np.subtract(block, rotated, out=rotated)))
     return SymmetryReport(anti, pair, bianchi, kahler)
 
 

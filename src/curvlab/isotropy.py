@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureTensor, build_model, jacobi_operator
+from .curvature import CurvatureTensor, _max_abs, _model_slab, jacobi_operator
 from .errors import (
     ConventionViolation,
     InconsistentKappa,
@@ -161,13 +161,17 @@ def almost_isotropy_scan(
     isotropic, with kappa estimated best-effort, so that broken inputs
     still produce a diagnosable report.
     """
-    tol = require_tol(tol)
+    return _scan(r, n_samples, seed, require_tol(tol))[0]
+
+
+def _scan(r, n_samples, seed, tol):
+    """The scan's report, with the eigenvalues and eigenvectors it computed."""
     d = r.dim
     if n_samples is None:
         n_samples = max(2 * d, 12)
     if n_samples < 1:
         raise ValueError("scan needs at least one sample")
-    spectra, _ = _spectra_on_complement(r, unit_sphere_samples(d, n_samples, seed))
+    spectra, vectors = _spectra_on_complement(r, unit_sphere_samples(d, n_samples, seed))
     scale = max(1.0, float(np.max(np.abs(spectra))))
 
     if d == 3:
@@ -189,13 +193,14 @@ def almost_isotropy_scan(
     deviations = np.sort(np.abs(spectra - kappa), axis=1)[:, ::-1]
     worst_full = float(deviations[:, 0].max())
     worst_rank = float(deviations[:, 1].max()) if d - 1 >= 2 else 0.0
-    return IsotropyReport(
+    report = IsotropyReport(
         kappa=kappa,
         is_isotropic=worst_full <= tol * scale,
         is_almost_isotropic=worst_rank <= tol * scale,
         worst_rank_residual=worst_rank,
         samples_used=n_samples,
     )
+    return report, spectra, vectors
 
 
 def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
@@ -212,14 +217,14 @@ def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL)
     return Subspace(r.dim, vectors[:, keep])
 
 
-def _column_candidates(r, kappa, tol, scale):
+def _column_candidates(eigenvalues, vectors, kappa, tol, scale):
     """Per basis vector: tau sign and |A e_i| up to sign, from rank-one deviations.
 
-    On e_i-perp the deviation (J_{e_i} - kappa) / 3 is tau (A e_i)(A e_i)^T
-    for a model, so its largest eigenpair carries the column.
+    Takes the spectra of J_{e_i} on e_i-perp, i = 1..d.  There the deviation
+    (J_{e_i} - kappa) / 3 is tau (A e_i)(A e_i)^T for a model, so its
+    largest eigenpair carries the column.
     """
-    d = r.dim
-    eigenvalues, vectors = _spectra_on_complement(r, np.eye(d))
+    d = vectors.shape[1]
     deviations = (eigenvalues - kappa) / 3.0
     order = np.argsort(np.abs(deviations), axis=1)
     ranked = np.take_along_axis(deviations, order, axis=1)
@@ -308,11 +313,16 @@ def recover_decomposition(
     resolve column signs by skew symmetry where columns overlap and by
     mixed-direction probes across disjoint blocks; canonicalize the global
     sign; verify the reconstruction residual.
+
+    The basis-vector spectra come from the scan, whose samples start with
+    e_1..e_d, and the residual is read one model slab at a time (see
+    ``curvature._model_slab``), so the model is never built: O(n d^4) time
+    for n scan samples and O(n d^2 + d^3) memory beyond the tensor.
     """
     tol = require_tol(tol)
     d = r.dim
     try:
-        report = almost_isotropy_scan(r, n_samples, seed, tol)
+        report, spectra, vectors = _scan(r, n_samples, seed, tol)
     except (InconsistentKappa, NoDominantEigenvalue) as exc:
         raise NotAlmostIsotropic(str(exc)) from exc
     if not report.is_almost_isotropic:
@@ -321,8 +331,9 @@ def recover_decomposition(
         )
     kappa = report.kappa
     scale = max(1.0, r.max_abs)
-
-    columns, signs = _column_candidates(r, kappa, tol, scale)
+    if report.samples_used < d:  # the scan's samples start with e_1..e_d
+        spectra, vectors = _spectra_on_complement(r, np.eye(d))
+    columns, signs = _column_candidates(spectra[:d], vectors[:d], kappa, tol, scale)
     nonzero = np.flatnonzero(signs)
 
     if nonzero.size == 0:
@@ -343,9 +354,13 @@ def recover_decomposition(
         skew = (raw - raw.T) / 2.0
         skew = canonical_sign_matrix(skew, zero_tol=tol * scale_of(skew))
 
-    reconstructed = build_model(kappa, tau, skew if tau != 0 else None, dim=d)
-    residual = float(np.max(np.abs(r.components - reconstructed.components)))
-    residual /= max(1.0, r.max_abs)
+    # max |R - model| one model slab at a time, never building the model
+    slab, scratch = np.empty((d,) * 3), np.empty((d,) * 3)
+    residual = 0.0
+    for i in range(d):
+        _model_slab(slab, i, kappa, tau, skew, scratch)
+        residual = max(residual, _max_abs(np.subtract(slab, r.components[i], out=slab)))
+    residual /= scale
     if residual > tol:
         raise SignResolutionFailure(
             f"reconstruction residual {residual:.3e} exceeds tolerance {tol:g}"

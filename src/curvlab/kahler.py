@@ -181,7 +181,8 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
     tol = require_tol(tol)
     j = require_complex_structure(j)
     report = validate_symmetries(r, j)
-    scale = max(1.0, r.max_abs)
+    max_abs = r.max_abs
+    scale = max(1.0, max_abs)
     if report.worst_base_residual > tol * scale:
         raise SymmetryViolation(
             f"curvature symmetries fail (worst residual {report.worst_base_residual:.3e})"
@@ -203,7 +204,7 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
 
     if tau == 0:
         # an isotropic Kahler tensor in dimension >= 4 must vanish
-        if r.max_abs > tol * scale:
+        if max_abs > tol * scale:
             raise StructureViolation(
                 "isotropic (tau = 0) Kahler tensor must vanish in dimension >= 4"
             )

@@ -188,3 +188,31 @@ def oracle_save_tensor(r, path):
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def oracle_model_einsum(kappa, tau, a):
+    """kappa * R1 + tau * RA built as full einsum arrays, as the model was first built.
+
+    build_model must match this bit for bit, signed zeros included.
+    """
+    a = np.asarray(a, dtype=float)
+    eye = np.eye(a.shape[0])
+    r1 = np.einsum("jk,il->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    out = float(kappa) * r1
+    if tau != 0:
+        ra = (
+            2.0 * np.einsum("ij,lk->ijkl", a, a)
+            + np.einsum("ik,lj->ijkl", a, a)
+            - np.einsum("jk,li->ijkl", a, a)
+        )
+        out = out + float(tau) * ra
+    return out
+
+
+def oracle_base_residuals(c):
+    """Antisymmetry, pair-exchange and Bianchi residuals from full transposed copies."""
+    return (
+        float(np.max(np.abs(c + c.transpose(1, 0, 2, 3)))),
+        float(np.max(np.abs(c - c.transpose(2, 3, 0, 1)))),
+        float(np.max(np.abs(c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3)))),
+    )

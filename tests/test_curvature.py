@@ -24,6 +24,7 @@ from curvlab import (
     jacobi_operator,
     nullity_space,
     random_skew,
+    recover_decomposition,
     ricci,
     sectional_curvature,
     standard_complex_structure,
@@ -33,8 +34,10 @@ from curvlab import (
 from curvlab.models import case4_instance, plane_operator, quaternion_j, two_plane_operator
 
 from _oracles import (
+    oracle_base_residuals,
     oracle_jacobi,
     oracle_kahler_rotation,
+    oracle_model_einsum,
     oracle_r1_components,
     oracle_ra_components,
     oracle_ricci,
@@ -160,8 +163,71 @@ class TestBuildModel:
         report = validate_symmetries(build_model(kappa, tau, a, dim=d))
         assert report.worst_base_residual < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 4, 7, 8, 16])
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_bitwise_equal_to_einsum_oracle(self, d, zero_rows):
+        # compared as int64 views: assert_array_equal treats -0.0 and 0.0 as equal
+        a = random_skew(d, d)
+        if zero_rows:
+            a[: d // 2] = -0.0
+            a[:, : d // 2] = 0.0
+        for kappa in (0.7, -0.7, 0.0, -0.0, 1e300):
+            for tau in (-1, 0, 1):
+                operator = a if tau != 0 else np.zeros((d, d))
+                if tau != 0 and not np.any(operator):
+                    continue  # d=2 with zero rows leaves A = 0
+                got = build_model(kappa, tau, operator).components
+                expected = oracle_model_einsum(kappa, tau, operator)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64)), (kappa, tau)
+        assert np.array_equal(build_ra(-a).components.view(np.int64),
+                              oracle_model_einsum(0.0, 1, -a).view(np.int64))
+
+
+class TestSlabMemory:
+    """At d=32 one d^4 array is 8 MiB; the slab passes need O(d^3) scratch."""
+
+    D = 32
+    ONE_TENSOR = 8 * 2**20
+
+    @staticmethod
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_model_peak_is_output_plus_slabs(self):
+        a = random_skew(self.D, 7) / self.D
+        peak = self.peak(build_model, -0.7, -1, a)
+        assert peak < self.ONE_TENSOR + 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("with_j", [False, True])
+    def test_validate_symmetries_peak_below_one_tensor(self, with_j):
+        j = rotated_complex_structure(self.D, seed=2)
+        tensor = build_model(1.0, 1, j)
+        peak = self.peak(validate_symmetries, tensor, *([j] if with_j else []))
+        assert peak < self.ONE_TENSOR, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_recover_decomposition_peak_below_one_tensor(self):
+        tensor = build_model(0.7, 1, random_skew(self.D, 1) / self.D)
+        peak = self.peak(recover_decomposition, tensor)
+        assert peak < self.ONE_TENSOR, f"peak {peak / 2**20:.1f} MiB"
+
 
 class TestValidateSymmetries:
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    @pytest.mark.parametrize("noise", [1e-9, 1.0])
+    def test_base_residuals_equal_full_transpose_oracle(self, d, noise):
+        rng = np.random.default_rng(d)
+        comp = build_model(-0.7, -1, random_skew(d, d)).components
+        comp = comp + noise * rng.standard_normal(comp.shape)
+        report = validate_symmetries(CurvatureTensor(d, comp))
+        got = (report.antisymmetry_residual, report.pair_exchange_residual,
+               report.bianchi_residual)
+        assert got == oracle_base_residuals(comp)
+
     def test_r1_residuals_zero(self):
         report = validate_symmetries(build_r1(4))
         assert report.antisymmetry_residual == 0.0

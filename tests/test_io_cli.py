@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -24,9 +25,9 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
-from curvlab.io import render_json
+from curvlab.io import load_matrix, render_json
 
-from _oracles import oracle_save_tensor
+from _oracles import oracle_model_einsum, oracle_save_tensor
 
 
 def run_cli(*args, env=None):
@@ -168,6 +169,98 @@ class TestSamplesFiles:
         path.write_text(json.dumps(payload))
         with pytest.raises(ParseError):
             load_samples(path)
+
+
+def _tensor_payload(components, dim):
+    return {
+        "schema_version": 1,
+        "dim": dim,
+        "components": components,
+        "basis": "orthonormal-standard",
+        "convention": "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>",
+    }
+
+
+# JSON values that numpy would read as numbers, or fail on with OverflowError
+NOT_NUMBERS = {"string": "1.0", "boolean": True, "nested": [1.0], "huge": 10**400}
+
+
+def _write_with(tmp_path, kind, bad):
+    """A valid file of ``kind`` with its first number replaced by ``bad``."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "tensor":
+        components = build_r1(2).components.ravel().tolist()
+        payload = _tensor_payload([bad] + components[1:], 2)
+    elif kind == "matrix":
+        payload = {"matrix": [[bad, -1.0], [1.0, 0.0]]}
+    else:
+        s, t = [bad, 0.0, 1.0], [[1.0, 0.0, 0.0]]
+        if kind == "tangents":
+            s, t = [0.0, 0.0, 1.0], [[bad, 1.0, 0.0]]
+        payload = {"schema_version": 1, "dim": 3, "entries": [{"s": s, "tangents": t}]}
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestNonNumbersRejected:
+    FIELDS = {"tensor": "components", "matrix": "matrix",
+              "base point": "entry 0 base point", "tangents": "entry 0 tangents"}
+
+    @pytest.mark.parametrize("kind", list(FIELDS))
+    @pytest.mark.parametrize("bad", list(NOT_NUMBERS))
+    def test_parse_error_names_field(self, tmp_path, kind, bad):
+        path = _write_with(tmp_path, kind.replace(" ", "_"), NOT_NUMBERS[bad])
+        load = {"tensor": load_tensor, "matrix": load_matrix}.get(kind, load_samples)
+        with pytest.raises(ParseError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: {self.FIELDS[kind]}: expected numbers"
+
+    def test_nested_components_rejected(self, tmp_path):
+        path = tmp_path / "tensor.json"
+        components = [[x] for x in build_r1(2).components.ravel().tolist()]
+        path.write_text(json.dumps(_tensor_payload(components, 2)))
+        with pytest.raises(ParseError, match="components: expected numbers"):
+            load_tensor(path)
+
+    def test_booleans_found_among_other_letters(self, tmp_path):
+        # the key holds "u" and "f", so the per-element check runs and passes
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"matrix": [[0.0, -1.0], [1.0, 0.0]], "unused_field": 1}))
+        assert load_matrix(path).shape == (2, 2)
+
+    @pytest.mark.parametrize("command, kind", [
+        ("classify", "matrix"), ("decompose", "tensor"), ("fit-distribution", "base_point"),
+    ])
+    def test_cli_huge_integer_exits_one(self, tmp_path, command, kind):
+        path = _write_with(tmp_path, kind, 10**400)
+        if command == "classify":
+            tensor_path = tmp_path / "r.json"
+            save_tensor(build_model(1.0, 1, standard_complex_structure(2)), tensor_path)
+            result = run_cli(command, str(tensor_path), "--J", str(path))
+        else:
+            result = run_cli(command, str(path))
+        assert result.returncode == 1
+        assert "expected numbers" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_generate_negative_zeros_match_einsum_file(tmp_path):
+    # tau = -1 and kappa < 0 leave -0.0 wherever RA vanishes; A has a zero block
+    a = np.zeros((6, 6))
+    a[:4, :4] = standard_complex_structure(4) * np.array([2.0, 2.0, 0.5, 0.5])[:, None]
+    matrix_path = tmp_path / "a.json"
+    matrix_path.write_text(json.dumps({"matrix": a.tolist()}))
+    out = tmp_path / "t.json"
+    result = run_cli(
+        "generate", "--dim", "6", "--kappa=-0.7", "--tau", "-1",
+        "--A", str(matrix_path), "--out", str(out), "--format", "json",
+    )
+    assert result.returncode == 0, result.stderr
+    oracle_path = tmp_path / "oracle.json"
+    oracle_save_tensor(CurvatureTensor(6, oracle_model_einsum(-0.7, -1, a)), oracle_path)
+    assert "-0.0" in oracle_path.read_text()
+    expected = hashlib.sha256(oracle_path.read_bytes()).hexdigest()
+    assert json.loads(result.stdout)["output"]["sha256"] == expected
 
 
 class TestReports:

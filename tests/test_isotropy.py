@@ -316,6 +316,16 @@ class TestRecoverDecomposition:
         with pytest.raises(InconsistentTau):
             recover_decomposition(tensor, n_samples=4)
 
+    @pytest.mark.parametrize("n_samples", [1, 5, 6])
+    def test_fewer_scan_samples_than_dimension(self, n_samples):
+        # below d samples the basis-vector spectra are computed apart from the scan
+        tensor = build_model(0.7, -1, random_skew(6, 3))
+        decomposition = recover_decomposition(tensor, n_samples=n_samples)
+        assert decomposition.tau == -1
+        assert decomposition.kappa == pytest.approx(0.7, abs=1e-12)
+        rebuilt = build_model(decomposition.kappa, -1, decomposition.skew)
+        np.testing.assert_allclose(rebuilt.components, tensor.components, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_scale_roundtrip(self, scale):
         # the deflation shift must not square the entries (inf past ~1e154)
