@@ -5,10 +5,12 @@ For each dimension d, builds a Kahler model kappa R1 + RA with A = mu J for
 a rotated complex structure J (mu^2 = kappa, so ``classify_kahler`` reaches
 Case 3 through a full recovery) and sphere samples of the distribution of
 A, then times each stage on it.  A stage's time is the median of
-``--repeats`` calls.  Stages that the benchmark traces use its per-layer
-names from BENCHMARK.json; the Jacobi operators (one call at the scan's
-default 2d samples) and ``nullity_space`` have no benchmark name and are
-reported as ``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.
+``--repeats`` calls.  ``io.save_tensor_s`` writes the model to a file in a
+temporary directory, which ``io.load_tensor_s`` reads back.  Stages that
+the benchmark traces use its per-layer names from BENCHMARK.json; the
+Jacobi operators (one call at the scan's default 2d samples) and
+``nullity_space`` have no benchmark name and are reported as
+``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.
 
 Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
 {d: median seconds}}}.  Run it as
@@ -19,7 +21,9 @@ Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
 import argparse
 import json
 import statistics
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -31,8 +35,10 @@ from curvlab import (
     distribution_at,
     fit_skew_from_samples,
     jacobi_operator,
+    load_tensor,
     nullity_space,
     recover_decomposition,
+    save_tensor,
     standard_complex_structure,
     unit_sphere_samples,
     validate_symmetries,
@@ -41,7 +47,7 @@ from curvlab import (
 KAPPA = 0.7
 
 
-def stages(d: int):
+def stages(d: int, directory: Path):
     """(name, zero-argument call) for every timed stage at dimension d."""
     q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
     j = q @ standard_complex_structure(d) @ q.T
@@ -50,7 +56,11 @@ def stages(d: int):
     directions = unit_sphere_samples(d, 2 * d, seed=1)
     points = unit_sphere_samples(d, d + 2 * d, seed=2)[d:]
     samples = DistributionSamples(d, [(s, distribution_at(a, s).basis.T) for s in points])
+    path = directory / f"model-d{d}.json"
+    save_tensor(tensor, path)
     return [
+        ("io.save_tensor_s", lambda: save_tensor(tensor, path)),
+        ("io.load_tensor_s", lambda: load_tensor(path)),
         ("curvature.build_model_s", lambda: build_model(KAPPA, 1, a)),
         ("curvature.validate_symmetries_s", lambda: validate_symmetries(tensor)),
         ("curvature.validate_symmetries_j_s", lambda: validate_symmetries(tensor, j)),
@@ -82,9 +92,10 @@ def main(argv=None) -> int:
     if any(d < 2 or d % 2 for d in dims) or args.repeats < 1:
         parser.error("dimensions must be even and at least 2, repeats at least 1")
     seconds: dict[str, dict[str, float]] = {}
-    for d in dims:
-        for name, call in stages(d):
-            seconds.setdefault(name, {})[str(d)] = median_seconds(call, args.repeats)
+    with tempfile.TemporaryDirectory() as directory:
+        for d in dims:
+            for name, call in stages(d, Path(directory)):
+                seconds.setdefault(name, {})[str(d)] = median_seconds(call, args.repeats)
     print(json.dumps({"dims": dims, "repeats": args.repeats, "seconds": seconds}, indent=2))
     return 0
 

@@ -91,6 +91,8 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
             seed = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"invalid random seed in A-spec {spec!r}") from exc
+        if seed < 0:
+            raise ParseError(f"invalid random seed in A-spec {spec!r}")
         return random_skew(dim, seed)
     return cio.load_matrix(spec, expected_dim=dim)
 

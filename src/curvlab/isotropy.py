@@ -164,6 +164,19 @@ def almost_isotropy_scan(
     return _scan(r, n_samples, seed, require_tol(tol))[0]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-d array, bit for bit, without importing ``numpy.ma``.
+
+    The middle element of the sorted values, or the mean ``(a + b) / 2`` of
+    the two middle ones, which is the sum and division ``np.median`` does.
+    """
+    ordered = np.sort(values)
+    half = ordered.size // 2
+    if ordered.size % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _scan(r, n_samples, seed, tol):
     """The scan's report, with the eigenvalues and eigenvectors it computed."""
     d = r.dim
@@ -188,7 +201,7 @@ def _scan(r, n_samples, seed, tol):
                 )
             kappa = float(np.mean(clustered))
         else:
-            kappa = float(np.median(centers))
+            kappa = _median(centers)
 
     deviations = np.sort(np.abs(spectra - kappa), axis=1)[:, ::-1]
     worst_full = float(deviations[:, 0].max())

@@ -199,6 +199,8 @@ def random_skew(d: int, seed: int = 0) -> np.ndarray:
     """Seeded dense skew matrix M - M^T (exactly skew, zero diagonal)."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d, d))
     return m - m.T

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from curvlab import (
     CurvatureTensor,
@@ -25,7 +28,7 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
-from curvlab.io import load_matrix, render_json
+from curvlab.io import _slab_text, load_matrix, render_json
 
 from _oracles import oracle_model_einsum, oracle_save_tensor
 
@@ -140,6 +143,106 @@ class TestTensorFiles:
         save_tensor(build_r1(4), path)
         with pytest.raises(NonPositiveTolerance):
             load_tensor(path, tol)
+
+
+def _block_skew(d):
+    """2x2 rotation blocks with distinct weights; an odd d leaves the last row zero."""
+    a = np.zeros((d, d))
+    for block in range(d // 2):
+        a[2 * block, 2 * block + 1] = 1.0 + 0.5 * block
+        a[2 * block + 1, 2 * block] = -(1.0 + 0.5 * block)
+    return a
+
+
+def _assert_bytes_match_oracle(tensor, directory):
+    save_tensor(tensor, directory / "saved.json")
+    oracle_save_tensor(tensor, directory / "oracle.json")
+    assert (directory / "saved.json").read_bytes() == (directory / "oracle.json").read_bytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTensorWriter:
+    """save_tensor formats one repr per distinct magnitude of a slab."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    @pytest.mark.parametrize("operator", ["dense", "block"])
+    def test_model_bytes_match_json_encoder(self, tmp_path, d, operator):
+        a = random_skew(d, d) if operator == "dense" else _block_skew(d)
+        for kappa in (0.7, -0.7, 0.0, -0.0):
+            for tau in (-1, 0, 1):
+                _assert_bytes_match_oracle(
+                    build_model(kappa, tau, a if tau else None, dim=d), tmp_path)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_repeat_free_bytes_match_json_encoder(self, tmp_path, d):
+        components = np.random.default_rng(d).standard_normal((d,) * 4)
+        _assert_bytes_match_oracle(CurvatureTensor(d, components), tmp_path)
+
+    @pytest.mark.parametrize("magnitude", [0.0, 5e-324, 0.1, 1.7976931348623157e308])
+    def test_one_magnitude_bytes_match_json_encoder(self, tmp_path, magnitude):
+        # every entry is +m or -m; m = 0 lays out +0.0 and -0.0
+        signs = np.random.default_rng(1).choice([-1.0, 1.0], size=(4,) * 4)
+        components = signs * magnitude
+        assert magnitude or np.signbit(components).any()
+        _assert_bytes_match_oracle(CurvatureTensor(4, components), tmp_path)
+
+    @given(magnitude=FINITE.map(lambda x: math.copysign(x, 1.0)))
+    def test_sign_is_formatted_apart_from_digits(self, magnitude):
+        assert "-" + repr(magnitude) == repr(-magnitude)
+
+    @given(pool=st.lists(FINITE, min_size=1, max_size=12),
+           picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=64))
+    def test_slab_text_matches_direct_format(self, pool, picks):
+        # few distinct values take the table, many take the direct format
+        slab = np.array([pool[pick % len(pool)] for pick in picks])
+        assert _slab_text(slab) == ",\n    ".join(map(repr, slab.tolist()))
+
+    def test_repeat_free_memory_is_one_slab(self, tmp_path):
+        # no magnitude repeats, so each slab is formatted directly
+        tensor = CurvatureTensor(32, np.random.default_rng(5).standard_normal((32,) * 4))
+        tracemalloc.start()
+        try:
+            save_tensor(tensor, tmp_path / "tensor.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+class TestSchemaVersion:
+    """A schema_version is the integer 1; true, 1.0 and "1" are rejected."""
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_tensor_version_must_be_integer(self, tmp_path, version):
+        path = tmp_path / "tensor.json"
+        save_tensor(build_r1(3), path)
+        data = json.loads(path.read_text())
+        data["schema_version"] = version
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaVersionUnsupported):
+            load_tensor(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_samples_version_must_be_integer(self, tmp_path, version):
+        path = tmp_path / "samples.json"
+        payload = {
+            "schema_version": version,
+            "dim": 3,
+            "entries": [{"s": [1.0, 0.0, 0.0], "tangents": [[0.0, 1.0, 0.0]]}],
+        }
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaVersionUnsupported):
+            load_samples(path)
+
+    def test_cli_exits_input_error(self, tmp_path):
+        path = tmp_path / "tensor.json"
+        save_tensor(build_r1(4), path)
+        path.write_text(path.read_text().replace('"schema_version": 1', '"schema_version": true'))
+        result = run_cli("decompose", str(path))
+        assert result.returncode == 1
+        assert "schema_version True unsupported" in result.stderr
 
 
 class TestSamplesFiles:
@@ -288,6 +391,14 @@ class TestCliContract:
             "--out", str(out),
         )
         assert result.returncode == 2
+
+    def test_generate_negative_random_seed_is_input_error(self, tmp_path):
+        result = run_cli(
+            "generate", "--dim", "4", "--kappa", "1", "--tau", "1",
+            "--A", "random:-5", "--out", str(tmp_path / "t.json"),
+        )
+        assert result.returncode == 1
+        assert "invalid random seed in A-spec 'random:-5'" in result.stderr
 
     def test_generate_random_scan_passes(self, tmp_path):
         out = tmp_path / "t.json"

@@ -24,7 +24,7 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
-from curvlab.isotropy import _spectra_on_complement
+from curvlab.isotropy import _median, _spectra_on_complement
 from curvlab.models import (
     block_diagonal_skew,
     case4_instance,
@@ -105,6 +105,16 @@ class TestSpectraOnComplement:
         for row, s in enumerate(samples):
             single, _ = _spectra_on_complement(tensor, s[None])
             assert np.max(np.abs(single[0] - full[row])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("size", range(1, 60))
+def test_median_bitwise_equals_numpy(size):
+    # repeated values and both signs, as the scan's window centres have
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    values[rng.integers(0, size, size // 3)] = values[0]
+    assert _median(values) == np.median(values)
+    assert np.signbit(_median(values)) == np.signbit(np.median(values))
 
 
 class TestKappaAt:

@@ -186,6 +186,10 @@ class TestRandomSkew:
     def test_deterministic(self):
         np.testing.assert_array_equal(random_skew(5, 17), random_skew(5, 17))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="-5"):
+            random_skew(4, -5)
+
     @given(seed=st.integers(0, 5_000), d=st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
     def test_even_rank(self, seed, d):
         assert rank_with_tol(random_skew(d, seed), 1e-9) % 2 == 0
