@@ -10,10 +10,14 @@ temporary directory, which ``io.load_tensor_s`` reads back.  Stages that
 the benchmark traces use its per-layer names from BENCHMARK.json; the
 Jacobi operators (one call at the scan's default 2d samples) and
 ``nullity_space`` have no benchmark name and are reported as
-``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.
+``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.  The
+file I/O stages also run once under tracemalloc, and their peak traced
+memory is reported in MiB, so the memory claims for the tensor files come
+from the same harness as their times.
 
 Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
-{d: median seconds}}}.  Run it as
+{d: median seconds}}, "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
+"io.load_tensor": {d: MiB}}}.  Run it as
 
     PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
 """
@@ -23,6 +27,7 @@ import json
 import statistics
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +50,7 @@ from curvlab import (
 )
 
 KAPPA = 0.7
+TRACED_STAGES = ("io.save_tensor_s", "io.load_tensor_s")
 
 
 def stages(d: int, directory: Path):
@@ -82,6 +88,16 @@ def median_seconds(call, repeats: int) -> float:
     return statistics.median(times)
 
 
+def peak_mib(call) -> float:
+    """Peak memory traced by tracemalloc during one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dims", default="4,8,16,32,48",
@@ -92,11 +108,15 @@ def main(argv=None) -> int:
     if any(d < 2 or d % 2 for d in dims) or args.repeats < 1:
         parser.error("dimensions must be even and at least 2, repeats at least 1")
     seconds: dict[str, dict[str, float]] = {}
+    peaks: dict[str, dict[str, float]] = {}
     with tempfile.TemporaryDirectory() as directory:
         for d in dims:
             for name, call in stages(d, Path(directory)):
                 seconds.setdefault(name, {})[str(d)] = median_seconds(call, args.repeats)
-    print(json.dumps({"dims": dims, "repeats": args.repeats, "seconds": seconds}, indent=2))
+                if name in TRACED_STAGES:
+                    peaks.setdefault(name.removesuffix("_s"), {})[str(d)] = peak_mib(call)
+    print(json.dumps({"dims": dims, "repeats": args.repeats, "seconds": seconds,
+                      "tracemalloc_peak_mib": peaks}, indent=2))
     return 0
 
 

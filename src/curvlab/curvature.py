@@ -154,12 +154,25 @@ def _model_slab(out, i, kappa, tau, a, scratch) -> None:
     out[others, i, others] = -kappa + cross
 
 
-def _model_components(kappa: float, tau: int, a: np.ndarray) -> np.ndarray:
+def _model_tensor(kappa: float, tau: int, a: np.ndarray) -> CurvatureTensor:
+    """kappa R1 + tau RA, filled slab by slab.
+
+    A model beyond the float range is reported once, as NonFiniteComponents,
+    rather than through numpy's overflow and invalid-value warnings.
+    """
     d = a.shape[0]
     comp, scratch = np.empty((d,) * 4), np.empty((d,) * 3)
-    for i in range(d):
-        _model_slab(comp[i], i, float(kappa), tau, a, scratch)
-    return comp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            _model_slab(comp[i], i, float(kappa), tau, a, scratch)
+    try:
+        return CurvatureTensor(d, comp)
+    except NonFiniteComponents:
+        if not np.isfinite(kappa):
+            raise
+        raise NonFiniteComponents(
+            "components must be finite: the model kappa*R1 + tau*RA overflows the float range"
+        ) from None
 
 
 def build_r1(dim: int) -> CurvatureTensor:
@@ -170,7 +183,7 @@ def build_r1(dim: int) -> CurvatureTensor:
 def build_ra(a) -> CurvatureTensor:
     """Skew-operator tensor RA[i,j,k,l] = 2 A_ij A_lk + A_ik A_lj - A_jk A_li."""
     a = require_skew(a)
-    return CurvatureTensor(a.shape[0], _model_components(0.0, 1, a))
+    return _model_tensor(0.0, 1, a)
 
 
 def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> CurvatureTensor:
@@ -201,7 +214,7 @@ def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> Curva
         raise ConventionViolation("tau = 0 requires A = 0")
     if tau != 0 and is_zero:
         raise ConventionViolation("tau != 0 requires a nonzero A")
-    return CurvatureTensor(a.shape[0], _model_components(kappa, tau, a))
+    return _model_tensor(kappa, tau, a)
 
 
 def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:

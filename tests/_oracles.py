@@ -190,6 +190,21 @@ def oracle_save_tensor(r, path):
         handle.write("\n")
 
 
+def oracle_load_tensor(path):
+    """load_tensor with the whole-text parse deciding every file.
+
+    The piecewise reader is switched off, so the file is read in one
+    piece, parsed by ``json.loads`` and checked as before tensor files were
+    read in pieces; the piecewise reader must agree with it on every file.
+    """
+    from unittest import mock
+
+    import curvlab.io as cio
+
+    with mock.patch.object(cio, "_stream_tensor_json", return_value=None):
+        return cio.load_tensor(path)
+
+
 def oracle_model_einsum(kappa, tau, a):
     """kappa * R1 + tau * RA built as full einsum arrays, as the model was first built.
 

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -474,6 +475,19 @@ class TestNonFiniteComponents:
         with pytest.raises(NonFiniteComponents):
             CurvatureTensor(4, comp)
         assert issubclass(NonFiniteComponents, InputFormatError)
+
+    @pytest.mark.parametrize("kappa, scale", [(1.0, 1e200), (1e308, 1e154), (-1e308, 1e160)])
+    def test_overflowing_model_rejected_without_warnings(self, kappa, scale):
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 0] = scale, -scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteComponents, match="overflows the float range"):
+                build_model(kappa, 1, a)
+
+    def test_nonfinite_kappa_named_as_such(self):
+        with pytest.raises(NonFiniteComponents, match=r"found NaN or inf"):
+            build_model(float("nan"), 0, dim=4)
 
     def test_arithmetic_cannot_produce_nan(self):
         with pytest.raises(NonFiniteComponents):

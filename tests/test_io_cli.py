@@ -28,9 +28,10 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
+import curvlab.io as cio
 from curvlab.io import _slab_text, load_matrix, render_json
 
-from _oracles import oracle_model_einsum, oracle_save_tensor
+from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
 
 
 def run_cli(*args, env=None):
@@ -137,6 +138,18 @@ class TestTensorFiles:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
+    def test_load_memory_is_one_tensor(self, tmp_path):
+        # the 8 MiB array plus pieces of text; the whole text parsed at once
+        # held the text, a list of 2^20 floats and the array (55 MiB)
+        save_tensor(build_model(0.7, 1, random_skew(32, 1)), tmp_path / "tensor.json")
+        tracemalloc.start()
+        try:
+            load_tensor(tmp_path / "tensor.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
     def test_bad_tolerance_rejected(self, tmp_path, tol):
         path = tmp_path / "tensor.json"
@@ -209,6 +222,89 @@ class TestTensorWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+def _first_component(token):
+    """A text edit that writes the first component as ``token``."""
+    def edit(text):
+        head, tail = text.split('"components": [\n    0.0,', 1)
+        return f'{head}"components": [\n    {token},{tail}'
+    return edit
+
+
+# Edits of a canonical d=3 tensor file.  Each names what the piecewise
+# reader must parse as the whole-text parse does, or leave to it.
+TEXT_EDITS = {
+    "canonical": lambda text: text,
+    "shuffled keys": lambda text: json.dumps(
+        dict(reversed(json.loads(text).items())), indent=1),
+    "tabs and carriage returns": lambda text: text.replace("\n", "\r\n\t").replace(": ", ":\r"),
+    "escaped key": lambda text: text.replace('"components"', '"\\u0063omponents"'),
+    "large member first": lambda text: text.replace(
+        "{", '{"extra": ' + json.dumps({"rows": [[i, [i, {"k": str(i)}]] for i in range(900)]}) + ",", 1),
+    "duplicate, last kept": lambda text: text.replace("{", '{"components": [1.0],', 1),
+    "duplicate, last short": lambda text: text.replace('"convention"', '"components": [0.0],\n  "convention"'),
+    "NaN": _first_component("NaN"),
+    "Infinity": _first_component("-Infinity"),
+    "true": _first_component("true"),
+    "false": _first_component("false"),
+    "null": _first_component("null"),
+    "string with comma": _first_component('"1,0"'),
+    "string with bracket": _first_component('"0]"'),
+    "nested list": _first_component("[0.0, 1.0]"),
+    "object": _first_component('{"a": 0.0}'),
+    "integer beyond float range": _first_component("1" + "0" * 400),
+    "integer": _first_component("0"),
+    "double comma": _first_component("0.0,"),
+    "trailing comma": lambda text: text.replace("\n  ],", ",\n  ],"),
+    "empty list": lambda text: text[:text.index("[")] + "[]" + text[text.index("]") + 1:],
+    "trailing data": lambda text: text + "{}",
+    "BOM": lambda text: "\ufeff" + text,
+    "invalid UTF-8": lambda text: text.encode().replace(b'"dim"', b'"\xffdim"'),
+    "not an object": lambda text: "[" + text + "]",
+    # the buffer holds less than two pieces past the point it was refilled at
+    "piece longer than the read size": lambda text: _first_component(
+        "0." + "0" * 2 * cio._PIECE)(text),
+    "whitespace longer than the read size": lambda text: text.replace(
+        '"dim"', " " * 2 * cio._PIECE + '"dim"'),
+}
+
+STREAMED = {"canonical", "shuffled keys", "tabs and carriage returns", "escaped key",
+            "large member first", "NaN", "Infinity", "integer"}
+
+
+def _outcome(load, path):
+    """The loaded tensor's bits, or the exception's type and message."""
+    try:
+        return load(path).components.tobytes()
+    except Exception as exc:  # noqa: BLE001 - any outcome must match
+        return type(exc), str(exc)
+
+
+class TestPiecewiseLoader:
+    """load_tensor reads a file in pieces and agrees with the whole-text parse."""
+
+    @pytest.mark.parametrize("piece", [64, None])
+    @pytest.mark.parametrize("edit", list(TEXT_EDITS))
+    def test_matches_whole_text_parse(self, tmp_path, monkeypatch, edit, piece):
+        if piece is not None:  # pieces shorter than a line of the layout
+            monkeypatch.setattr(cio, "_PIECE", piece)
+        canonical = tmp_path / "canonical.json"
+        save_tensor(build_model(0.7, 1, random_skew(3, 2)), canonical)
+        text = TEXT_EDITS[edit](canonical.read_text())
+        path = tmp_path / "edited.json"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert _outcome(load_tensor, path) == _outcome(oracle_load_tensor, path)
+        # a member longer than a small piece is left to the whole-text parse
+        streamed = edit in STREAMED and not (piece and edit == "large member first")
+        assert (cio._stream_tensor_json(path) is not None) == streamed
+
+    def test_model_file_read_in_many_pieces(self, tmp_path, monkeypatch):
+        tensor = build_model(-0.7, -1, random_skew(8, 3))
+        save_tensor(tensor, tmp_path / "tensor.json")
+        monkeypatch.setattr(cio, "_PIECE", 100)
+        data, _ = cio._stream_tensor_json(tmp_path / "tensor.json")
+        assert data["components"].tobytes() == tensor.components.tobytes()
 
 
 class TestSchemaVersion:
@@ -399,6 +495,21 @@ class TestCliContract:
         )
         assert result.returncode == 1
         assert "invalid random seed in A-spec 'random:-5'" in result.stderr
+
+    def test_generate_overflow_prints_one_error_line(self, tmp_path):
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 0] = 1e200, -1e200
+        matrix = tmp_path / "big.json"
+        matrix.write_text(json.dumps({"matrix": a.tolist()}))
+        result = run_cli(
+            "generate", "--dim", "4", "--kappa", "1", "--tau", "1",
+            "--A", str(matrix), "--out", str(tmp_path / "t.json"),
+        )
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: components must be finite: the model kappa*R1 + tau*RA "
+            "overflows the float range"
+        ]
 
     def test_generate_random_scan_passes(self, tmp_path):
         out = tmp_path / "t.json"
