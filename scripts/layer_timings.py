@@ -13,7 +13,9 @@ Jacobi operators (one call at the scan's default 2d samples) and
 ``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.  The
 file I/O stages also run once under tracemalloc, and their peak traced
 memory is reported in MiB, so the memory claims for the tensor files come
-from the same harness as their times.
+from the same harness as their times.  As in the benchmark, BLAS runs
+with one thread and the process is pinned to one CPU, which keeps the
+timings steady on a shared machine.
 
 Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
 {d: median seconds}}, "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
@@ -22,17 +24,22 @@ Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
     PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
 """
 
-import argparse
-import json
-import statistics
-import tempfile
-import time
-import tracemalloc
-from pathlib import Path
+import os
 
-import numpy as np
+# One BLAS thread, set before numpy is first imported.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
-from curvlab import (
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+import tracemalloc  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from curvlab import (  # noqa: E402
     DistributionSamples,
     almost_isotropy_scan,
     build_model,
@@ -107,6 +114,7 @@ def main(argv=None) -> int:
     dims = [int(part) for part in args.dims.split(",")]
     if any(d < 2 or d % 2 for d in dims) or args.repeats < 1:
         parser.error("dimensions must be even and at least 2, repeats at least 1")
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     seconds: dict[str, dict[str, float]] = {}
     peaks: dict[str, dict[str, float]] = {}
     with tempfile.TemporaryDirectory() as directory:

@@ -2,17 +2,19 @@
 
 Tensor components are stored as a flat row-major list of finite floats, one
 per line; Python's shortest round-trip float serialization makes save -> load
-bitwise exact.  ``save_tensor`` writes that layout one slab at a time, and its
-bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)`` plus a
-newline, so files and their sha256 digests match earlier versions.  A slab
-formats each distinct magnitude once: the curvature symmetries repeat most
-magnitudes of a model tensor, so a dense d=32 slab needs about 19k reprs
-for its 32,768 entries.  Extra memory stays O(d^3).  ``load_tensor`` reads
-the file in pieces of 64 Ki characters and parses the components into one
-float64 array, so beyond that array it needs a d^4-byte finiteness mask and
-O(64 KiB) of text and floats; any file the piecewise reader does not accept
-goes to the whole-text parse, which alone decides a malformed file and
-words its error.
+bitwise exact.  ``save_tensor`` writes that layout a chunk of entries at a
+time, and its bytes equal those of ``json.dump(payload, indent=2,
+sort_keys=True)`` plus a newline, so files and their sha256 digests match
+earlier versions.  The curvature symmetries make each entry equal, up to
+sign, to one of m(m+1)/2 class values (m = d(d-1)/2), so the save formats
+each class once into a table and copies its text to every entry that has
+exactly its magnitude: a dense d=32 save calls ``repr`` about 250k times
+for its 1,048,576 entries.  Extra memory is the table, 31 bytes per class
+(3.6 MiB at d=32), and one chunk.  ``load_tensor`` reads the file in
+pieces of 64 Ki characters and parses the components into one float64
+array, so beyond that array it needs O(64 KiB) of text and floats; any file
+the piecewise reader does not accept goes to the whole-text parse, which
+alone decides a malformed file and words its error.
 Reports render to either human-readable text or a stable machine-readable
 JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
 ``load_samples`` import the curvature and sphere modules when first called,
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, SchemaVersionUnsupported, SymmetryViolation
+from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported, SymmetryViolation
 from .linalg import DEFAULT_TOL, require_tol
 
 if TYPE_CHECKING:
@@ -57,6 +59,8 @@ def _parse_json(path):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
     return data, "u" in text or "f" in text
 
 
@@ -206,11 +210,15 @@ def _numbers(values, ndim: int, may_hold_bool: bool) -> np.ndarray:
     return numbers.reshape(len(values), -1) if ndim == 2 and values else numbers
 
 
-def _finite_floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.ndarray:
+def _floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.ndarray:
     try:
-        arr = values if isinstance(values, np.ndarray) else _numbers(values, ndim, may_hold_bool)
+        return values if isinstance(values, np.ndarray) else _numbers(values, ndim, may_hold_bool)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected numbers") from exc
+
+
+def _finite_floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.ndarray:
+    arr = _floats(values, where, may_hold_bool, ndim)
     if not np.isfinite(arr).all():
         raise ParseError(f"{where}: values must be finite")
     return arr
@@ -218,31 +226,80 @@ def _finite_floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.nda
 
 _SEPARATOR = ",\n    "
 _MAGNITUDE_BITS = np.int64(2**63 - 1)
+# Bytes of the longest repr of a finite float, such as "2.2250738585072014e-308".
+_WIDTH = 23
+# Entries formatted and written at a time.
+_CHUNK = 2**13
 
 
-def _slab_text(slab: np.ndarray) -> str:
-    """The entries of ``slab`` in row-major order, as the json encoder prints them.
+def _magnitude_text(bits: np.ndarray) -> np.ndarray:
+    """The repr of each magnitude in ``bits`` (float64 bit patterns, sign bit clear).
 
-    Each distinct magnitude is formatted once, and a negative entry is
-    written as "-" followed by its magnitude's repr: CPython formats the
-    sign apart from the digits, so ``"-" + repr(m) == repr(-m)`` for every
-    finite ``m >= +0.0``.  Magnitudes are deduplicated on bit patterns, not
-    float values, so -0.0 keeps its sign.  When more than three quarters of
-    the entries are distinct, the table costs more than it saves, and the
-    entries are formatted directly; the count comes from one ``np.sort``,
-    which costs a repeat-free slab far less than ``np.unique`` with its
-    inverse (1.1 against 8.7 ms for the 110,592 entries of a d=48 slab).
+    Returned as NUL-padded bytes as wide as the longest; each distinct
+    magnitude is formatted once.
     """
-    bits = np.ascontiguousarray(slab).reshape(-1).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")[index]
+
+
+def _entries_text(values: np.ndarray, classes: np.ndarray, table) -> np.ndarray:
+    """The entries of ``values`` as the json encoder prints them, each followed by the separator.
+
+    ``table`` is a pair of arrays, the magnitude bits of some entries and
+    their ``_magnitude_text``; ``classes`` names each entry's row of the
+    table, or is -1.  An entry whose magnitude has exactly the bits of its
+    row takes the row's text, and every other entry is formatted here.  A
+    negative entry is written as "-" followed by its magnitude's repr:
+    CPython formats the sign apart from the digits, so ``"-" + repr(m) ==
+    repr(-m)`` for every finite ``m >= +0.0``.  Magnitudes are compared on
+    bit patterns, not float values, so -0.0 keeps its sign.  Each entry
+    fills one fixed-width record of sign, digits and separator, as narrow
+    as the longest digits allow, and the NUL bytes of the unused sign and
+    padding are compressed out.
+    """
+    bits = np.ascontiguousarray(values).reshape(-1).view(np.int64)
     magnitudes = bits & _MAGNITUDE_BITS
-    ordered = np.sort(magnitudes)
-    if 4 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) > 3 * bits.size:
-        return _SEPARATOR.join(map(repr, slab.ravel().tolist()))
-    distinct, index = np.unique(magnitudes, return_inverse=True)
-    digits = list(map(repr, distinct.view(np.float64).tolist()))
-    strings = np.array(digits + ["-" + text for text in digits], dtype=object)
-    index[bits < 0] += distinct.size
-    return _SEPARATOR.join(strings[index].tolist())
+    table_bits, table_text = table
+    digits = table_text[classes]
+    miss = (classes < 0) | (table_bits[classes] != magnitudes)
+    if miss.any():
+        missed = _magnitude_text(magnitudes[miss])
+        digits = digits.astype(np.promote_types(digits.dtype, missed.dtype), copy=False)
+        digits[miss] = missed
+    lines = np.zeros(bits.size, [("sign", "u1"), ("digits", digits.dtype),
+                                 ("separator", f"S{len(_SEPARATOR)}")])
+    lines["sign"] = (bits < 0) * np.uint8(ord("-"))
+    lines["digits"] = digits
+    lines["separator"] = _SEPARATOR
+    text = lines.view(np.uint8)
+    return text[text != 0]
+
+
+def _class_table(c: np.ndarray, iu: np.ndarray, ju: np.ndarray, first: np.ndarray):
+    """The ``_entries_text`` table of a tensor's curvature classes.
+
+    Antisymmetry and pair exchange make each ``R[i, j, k, l]`` with i != j
+    and k != l equal, up to sign, to one class representative ``R[a, b, c,
+    e]``: a < b, c < e, and pair (a, b) <= (c, e) in the order of the m
+    pairs ``iu, ju = np.triu_indices(d, 1)``.  Class (p, q) is row
+    ``first[p] + q - p`` of the table, as in ``np.triu_indices(m)``.
+    Nothing is assumed of the tensor: an entry that misses its class is
+    formatted on its own.  Magnitudes are formatted ``_CHUNK`` classes at a
+    time into ``_WIDTH`` bytes each, and the text is returned as a view as
+    wide as the longest, so a table of short texts makes short records.
+    """
+    bits = np.empty(first[-1] + 1, np.int64)
+    for p, start in enumerate(first):
+        bits[start:start + iu.size - p] = c[iu[p], ju[p], iu[p:], ju[p:]].view(np.int64)
+    bits &= _MAGNITUDE_BITS
+    text, width = np.empty(bits.size, f"S{_WIDTH}"), 1
+    for start in range(0, bits.size, _CHUNK):
+        batch = _magnitude_text(bits[start:start + _CHUNK])
+        text[start:start + _CHUNK], width = batch, max(width, batch.itemsize)
+    # the first ``width`` bytes of each text; a narrowed copy would double
+    # the table's memory while both exist
+    narrow = np.dtype({"names": ["text"], "formats": [f"S{width}"], "itemsize": _WIDTH})
+    return bits, text.view(narrow)["text"]
 
 
 def save_tensor(r: CurvatureTensor, path) -> None:
@@ -250,23 +307,41 @@ def save_tensor(r: CurvatureTensor, path) -> None:
 
     The bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)``
     plus a newline: json prints a finite float with ``float.__repr__``, and
-    components are always finite.  Writing the layout directly, one slab
-    ``components[i]`` of d^3 components at a time, skips the pure-Python
-    encoder and keeps extra memory at O(d^3).  Each slab calls ``repr``
-    once per distinct magnitude (see ``_slab_text``), which cuts the save
-    of a dense d=32 model by about 15%; a tensor with no repeated
-    magnitude is formatted entry by entry after one ``np.sort`` per slab,
-    a few percent slower than formatting it directly.
+    components are always finite.  The layout is written directly, about
+    ``_CHUNK`` components at a time, which skips the pure-Python encoder.
+    ``repr`` runs once per distinct magnitude of the m(m+1)/2 curvature
+    classes (see ``_class_table``), and once per distinct magnitude of a
+    chunk for the entries that miss their class: the i = j and k = l
+    entries, and mirrored entries that differ by rounding (about 13% of a
+    dense ``build_model``).  A dense d=32 save calls ``repr`` about 250k
+    times for its 1,048,576 entries, and on one CPU of a shared 2-core
+    machine took 0.40 s, against 0.89 s with one table per slab.  Extra
+    memory is the class table, 31 bytes per class (3.6 MiB at d=32, 18.8
+    MiB at d=48, so O(d^4/8)), and one chunk of ``_CHUNK`` entries, or of
+    d^2 when d > 90.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    ')
-        for index, slab in enumerate(r.components):
-            if index:
-                handle.write(_SEPARATOR)
-            handle.write(_slab_text(slab))
+    c, d = r.components, r.dim
+    iu, ju = np.triu_indices(d, 1)
+    rows = np.arange(iu.size)
+    first = rows * (2 * iu.size - rows + 1) // 2
+    table = _class_table(c, iu, ju, first)
+    # entry (i, j, k, l) has class (lo, hi), the pair indices of (i, j)
+    # and (k, l) in order, and none when i = j or k = l
+    pair = np.full((d, d), -1)
+    pair[iu, ju] = pair[ju, iu] = rows
+    step = max(1, _CHUNK // d**2)
+    with open(path, "wb") as handle:
+        handle.write(f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    '.encode())
+        for i in range(d):
+            for j in range(0, d, step):
+                lo = np.minimum(pair[i, j:j + step, None], pair.ravel())
+                hi = np.maximum(pair[i, j:j + step, None], pair.ravel())
+                classes = np.where(lo < 0, -1, first[lo] + hi - lo).reshape(-1)
+                text = _entries_text(c[i, j:j + step], classes, table)
+                handle.write(text[:-len(_SEPARATOR)] if i == d - 1 and j + step >= d else text)
         handle.write(
             f'\n  ],\n  "convention": {json.dumps(TENSOR_CONVENTION)},\n'
-            f'  "dim": {r.dim},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'
+            f'  "dim": {r.dim},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'.encode()
         )
 
 
@@ -274,7 +349,7 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     """Load and validate a tensor file; symmetry failures name the identity.
 
     The file is read in pieces (see ``_stream_tensor_json``): memory beyond
-    the returned tensor is a d^4-byte mask and O(64 KiB).  A file the
+    the returned tensor is O(64 KiB).  A file the
     piecewise reader does not accept is parsed whole, and that parse
     decides its error.
     """
@@ -295,8 +370,11 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
         raise ParseError(
             f"{path}: components must be a list of dim^4 = {dim**4} numbers"
         )
-    flat = _finite_floats(components, f"{path}: components", may_hold_bool, 1)
-    tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
+    flat = _floats(components, f"{path}: components", may_hold_bool, 1)
+    try:  # the constructor's max and min find NaN and inf without a d^4 mask
+        tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
+    except NonFiniteComponents as exc:
+        raise ParseError(f"{path}: components: values must be finite") from exc
     report = validate_symmetries(tensor)
     scale = max(1.0, tensor.max_abs)
     for name, resid in (

@@ -29,7 +29,7 @@ from curvlab import (
     unit_sphere_samples,
 )
 import curvlab.io as cio
-from curvlab.io import _slab_text, load_matrix, render_json
+from curvlab.io import load_matrix, render_json
 
 from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
 
@@ -108,6 +108,17 @@ class TestTensorFiles:
         with pytest.raises(ParseError):
             load_tensor(path)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_error_names_file(self, tmp_path, value):
+        # found by the tensor's own max and min, with no d^4 mask
+        path = tmp_path / "nonfinite.json"
+        components = build_r1(3).components.ravel().tolist()
+        components[40] = value
+        path.write_text(json.dumps(_tensor_payload(components, 3), allow_nan=True))
+        with pytest.raises(ParseError) as caught:
+            load_tensor(path)
+        assert str(caught.value) == f"{path}: components: values must be finite"
+
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
     def test_bytes_match_json_encoder(self, tmp_path, d):
         tensor = build_model(0.7, 1, random_skew(d, d))
@@ -177,7 +188,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestTensorWriter:
-    """save_tensor formats one repr per distinct magnitude of a slab."""
+    """save_tensor writes the json encoder's bytes for any finite tensor."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("operator", ["dense", "block"])
@@ -206,14 +217,21 @@ class TestTensorWriter:
         assert "-" + repr(magnitude) == repr(-magnitude)
 
     @given(pool=st.lists(FINITE, min_size=1, max_size=12),
-           picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=64))
-    def test_slab_text_matches_direct_format(self, pool, picks):
-        # few distinct values take the table, many take the direct format
-        slab = np.array([pool[pick % len(pool)] for pick in picks])
-        assert _slab_text(slab) == ",\n    ".join(map(repr, slab.tolist()))
+           picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=64),
+           rows=st.lists(st.integers(-1, 1 << 16), min_size=64, max_size=64))
+    def test_entries_text_matches_direct_format(self, pool, picks, rows):
+        # each entry names a row of a table of the pool's magnitudes, or no
+        # row; an entry that misses its row is formatted on its own
+        values = np.array([pool[pick % len(pool)] for pick in picks])
+        bits = np.abs(np.array(pool)).view(np.int64)
+        table = (bits, cio._magnitude_text(bits))
+        classes = np.array([row % len(pool) if row >= 0 else -1 for row in rows[:values.size]])
+        text = cio._entries_text(values, classes, table).tobytes().decode()
+        assert text == "".join(repr(value) + ",\n    " for value in values.tolist())
 
     def test_repeat_free_memory_is_one_slab(self, tmp_path):
-        # no magnitude repeats, so each slab is formatted directly
+        # no magnitude repeats: every entry but the class representatives
+        # misses the class table and is formatted with its chunk
         tensor = CurvatureTensor(32, np.random.default_rng(5).standard_normal((32,) * 4))
         tracemalloc.start()
         try:
@@ -222,6 +240,78 @@ class TestTensorWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
+
+
+def _expanded_triangle(d, seed):
+    """R[i, j, k, l] = s(i, j) s(k, l) M[p(i, j), p(k, l)] for a random symmetric M.
+
+    Antisymmetry and pair exchange hold bitwise, with the sign of each zero
+    set by the product; entries with i = j or k = l are signed zeros.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    upper = np.triu(np.random.default_rng(seed).standard_normal((iu.size, iu.size)))
+    operator = upper + np.triu(upper, 1).T
+    pair, sign = np.zeros((d, d), int), np.zeros((d, d))
+    pair[iu, ju] = pair[ju, iu] = np.arange(iu.size)
+    sign[iu, ju], sign[ju, iu] = 1.0, -1.0
+    signs = sign[:, :, None, None] * sign[None, None]
+    return signs * operator[pair[:, :, None, None], pair[None, None]]
+
+
+class TestClassTable:
+    """save_tensor's table of curvature classes changes no byte of the file."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fewest_classes(self, tmp_path, d):
+        # m = 1 and 3 pairs, so 1 and 6 classes
+        _assert_bytes_match_oracle(build_model(0.7, 1, random_skew(d, 3)), tmp_path)
+        _assert_bytes_match_oracle(CurvatureTensor(d, _expanded_triangle(d, 3)), tmp_path)
+
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_exactly_symmetric(self, tmp_path, monkeypatch, d):
+        # every entry off the i = j and k = l planes takes its class's text
+        formatted = []
+        magnitude_text = cio._magnitude_text
+        monkeypatch.setattr(cio, "_magnitude_text",
+                            lambda bits: formatted.append(bits.size) or magnitude_text(bits))
+        _assert_bytes_match_oracle(CurvatureTensor(d, _expanded_triangle(d, d)), tmp_path)
+        m = d * (d - 1) // 2
+        assert sum(formatted) == m * (m + 1) // 2 + 2 * d**3 - d**2
+
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_mirrored_entries_one_ulp_apart(self, tmp_path, d):
+        components = _expanded_triangle(d, d)
+        nudge = np.random.default_rng(d).random(components.shape) < 0.3
+        components[nudge] = np.nextafter(components[nudge], np.inf)
+        _assert_bytes_match_oracle(CurvatureTensor(d, components), tmp_path)
+
+    @pytest.mark.parametrize("d", [4, 7])
+    def test_signed_zeros_at_mirrored_entries(self, tmp_path, d):
+        components = _expanded_triangle(d, d)
+        rng = np.random.default_rng(d)
+        components[rng.random(components.shape) < 0.5] = 0.0
+        flip = rng.random(components.shape) < 0.5
+        components[flip] = -components[flip]
+        assert np.signbit(components[components == 0]).any()
+        assert not np.signbit(components[components == 0]).all()
+        _assert_bytes_match_oracle(CurvatureTensor(d, components), tmp_path)
+
+    @pytest.mark.parametrize("view", [
+        lambda c: c.transpose(2, 3, 0, 1),
+        lambda c: c[::-1, :, ::-1],
+    ])
+    def test_non_contiguous_view(self, tmp_path, view):
+        components = view(_expanded_triangle(5, 5))
+        assert not components.flags.c_contiguous
+        tensor = CurvatureTensor(5, components)
+        assert not tensor.components.flags.c_contiguous
+        _assert_bytes_match_oracle(tensor, tmp_path)
+
+    @pytest.mark.parametrize("tau", [-1, 1])
+    @pytest.mark.parametrize("d", [6, 12])
+    def test_model_at_both_signs_of_tau(self, tmp_path, d, tau):
+        # build_model's mirrored entries may differ by rounding
+        _assert_bytes_match_oracle(build_model(0.7 * tau, tau, random_skew(d, d)), tmp_path)
 
 
 def _first_component(token):
@@ -440,6 +530,26 @@ class TestNonNumbersRejected:
             result = run_cli(command, str(path))
         assert result.returncode == 1
         assert "expected numbers" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
+class TestInvalidUtf8:
+    """A file that is not UTF-8 is a ParseError that names it."""
+
+    @pytest.mark.parametrize("load", [load_tensor, load_samples, load_matrix])
+    def test_loader_names_file(self, tmp_path, load):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dim": "\xff"}')
+        with pytest.raises(ParseError) as caught:
+            load(path)
+        assert str(caught.value).startswith(f"{path}: invalid UTF-8 (")
+
+    def test_cli_names_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dim": "\xff"}')
+        result = run_cli("decompose", str(path))
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: {path}: invalid UTF-8 (")
         assert "Traceback" not in result.stderr
 
 
