@@ -36,6 +36,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    _lapack,
     random_skew,
     require_complex_structure,
     require_tol,
@@ -100,12 +101,13 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
 def cmd_generate(args) -> int:
     tol = _resolve_tol(args.tol)
     if args.dim < 2:  # before the A-spec, which would report it as a rejection
-        raise ValueError(f"dimension must be at least 2, got {args.dim}")
+        raise ParseError(f"dimension must be at least 2, got {args.dim}")
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
     tensor = _this.build_model(
         args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
     cio.save_tensor(tensor, args.out)
-    singular_top = float(np.linalg.svd(skew, compute_uv=False)[0]) if np.any(skew) else 0.0
+    singular_top = (float(_lapack(np.linalg.svd, skew, compute_uv=False)[0])
+                    if np.any(skew) else 0.0)
     lam_edge = args.kappa + 3.0 * args.tau * singular_top**2
     report = {
         "command": "generate",
@@ -209,7 +211,10 @@ def cmd_fit_distribution(args) -> int:
 
 
 def cmd_lemma_suite(args) -> int:
-    dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    try:
+        dims = [int(part) for part in args.dims.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ParseError(f"--dims must be comma-separated integers, got {args.dims!r}") from exc
     results = _this.run_suite(dims=dims, trials=args.trials, seed=args.seed)
     all_passed = all(result.passed for result in results)
     if args.format == "json":
@@ -217,7 +222,8 @@ def cmd_lemma_suite(args) -> int:
             "command": "lemma-suite",
             "params": {"dims": dims, "trials": args.trials, "seed": args.seed},
             "results": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
+                {"name": r.name, "passed": r.passed, "detail": r.detail,
+                 "value": r.value, "threshold": r.threshold} for r in results
             ],
             "status": "ok" if all_passed else "failed",
         }
@@ -226,7 +232,8 @@ def cmd_lemma_suite(args) -> int:
         width = max(len(result.name) for result in results)
         for result in results:
             flag = "PASS" if result.passed else "FAIL"
-            print(f"{flag}  {result.name:<{width}}  {result.detail}")
+            print(f"{flag}  {result.name:<{width}}  {result.detail} = {result.value:.3g}"
+                  f" (threshold {result.threshold:g})")
         print(f"{'all passed' if all_passed else 'FAILURES PRESENT'} "
               f"({sum(r.passed for r in results)}/{len(results)})")
     return EXIT_OK if all_passed else EXIT_REJECTED
@@ -294,7 +301,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (InputFormatError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except CurvlabError as exc:

@@ -1,8 +1,9 @@
-"""Seeded generators for structured skew operators and model tensors.
+"""Seeded generators for structured skew operators, model tensors and sphere samples.
 
 Used by the test suite, the lemma runner, and the demo scripts to produce
 representative instances of each classification case plus the
-anticommuting counterexample that the classifier must reject.
+anticommuting counterexample that the classifier must reject, and exact
+samples of the sphere distributions D[A].
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import build_model
-from .linalg import Subspace, random_skew, standard_complex_structure
+from .linalg import Subspace, random_skew, standard_complex_structure, unit_sphere_samples
+from .sphere import DistributionSamples, distribution_at
 
 
 def quaternion_j() -> np.ndarray:
@@ -61,6 +63,36 @@ def random_model(d: int, rng: np.random.Generator):
     tau = int(rng.choice([-1, 1]))
     a = random_skew(d, int(rng.integers(1 << 30)))
     return build_model(kappa, tau, a), kappa, tau, a
+
+
+def seeded_model(index: int):
+    """(tensor, kappa, tau, A) number ``index`` of a fixed list, d cycling through 4, 6, 8.
+
+    ``A`` cycles through four kinds: dense, basis-disjoint rotation blocks
+    (sign resolution needs probes), blocks with a kernel, and dense with a
+    kernel through basis-aligned coordinates.
+    """
+    rng = np.random.default_rng(1000 + index)
+    d = (4, 6, 8)[index % 3]
+    kappa = float(rng.uniform(-2.0, 2.0))
+    tau = int(rng.choice([-1, 1]))
+    kind = index % 4
+    if kind == 0:
+        a = random_skew(d, 2000 + index)
+    elif kind == 1:
+        a = block_diagonal_skew(d, rng.uniform(0.4, 2.0, size=d // 2))
+    elif kind == 2:
+        a = block_diagonal_skew(d, rng.uniform(0.4, 2.0, size=max(1, d // 2 - 1)))
+    else:
+        a = random_skew(d, 3000 + index)
+        a[:, -2:] = 0.0
+        a[-2:, :] = 0.0
+    return build_model(kappa, tau, a), kappa, tau, a
+
+
+def as_model(instance: dict):
+    """(tensor, kappa, tau, A) of an instance dict that carries a kappa."""
+    return instance["tensor"], instance["kappa"], instance["tau"], instance["skew"]
 
 
 def case2_instance(seed: int = 0, spread: float = 0.1) -> dict:
@@ -135,3 +167,31 @@ def block_diagonal_skew(d: int, scales) -> np.ndarray:
         a[base + 1, base] = scale
         a[base, base + 1] = -scale
     return a
+
+
+def sphere_point_instance(d: int, rng: np.random.Generator):
+    """(A, k, m, T) for ``sphere_structure_check``: one rotation block, two from d = 8.
+
+    k = e_d lies in ker A, m = e_1 is orthogonal to it, and T is drawn
+    from (0.1, 1.4).
+    """
+    a = block_diagonal_skew(d, rng.uniform(0.5, 2.0, size=1 + (d >= 8)))
+    return a, np.eye(d)[-1], np.eye(d)[0], float(rng.uniform(0.1, 1.4))
+
+
+def planted_instance(d: int, singular: bool, skew_seed: int, sample_seed: int, count: int):
+    """(A, exact samples of D[A] at the count - d random points of unit_sphere_samples).
+
+    A is ``random_skew(d, skew_seed)``, or with ``singular`` rotation blocks
+    with a kernel, over which the fit must extend.
+    """
+    if singular:
+        a = block_diagonal_skew(d, [1.1] + ([0.6] if d >= 6 else []))
+    else:
+        a = random_skew(d, skew_seed)
+    return a, distribution_samples(a, unit_sphere_samples(d, count, sample_seed)[d:])
+
+
+def distribution_samples(a, points) -> DistributionSamples:
+    """Exact samples of D[A]: each point with the full basis of its distribution."""
+    return DistributionSamples(a.shape[0], [(s, distribution_at(a, s).basis.T) for s in points])

@@ -80,12 +80,6 @@ def oracle_ricci(components):
     return out
 
 
-def oracle_in_nullity(components, v, tol=1e-10):
-    """Whether R(., v). vanishes, checked against every component slice."""
-    contracted = np.tensordot(components, v, axes=([1], [0]))
-    return float(np.max(np.abs(contracted))) <= tol
-
-
 def plane_tensor(d, i, j):
     """The curvature tensor of a single coordinate plane: sec(e_i, e_j) = 1.
 
@@ -231,3 +225,12 @@ def oracle_base_residuals(c):
         float(np.max(np.abs(c - c.transpose(2, 3, 0, 1)))),
         float(np.max(np.abs(c + c.transpose(1, 2, 0, 3) + c.transpose(2, 0, 1, 3)))),
     )
+
+
+def canonical_pair(mu1, mu2, w1, w2):
+    """Same normalization the classifier applies: mu1 >= mu2, mu1 + mu2 >= 0."""
+    if mu1 + mu2 < 0:
+        mu1, mu2 = -mu1, -mu2
+    if mu1 < mu2:
+        mu1, mu2, w1, w2 = mu2, mu1, w2, w1
+    return mu1, mu2, w1, w2

@@ -12,14 +12,12 @@ from hypothesis import strategies as st
 
 from curvlab import (
     CurvatureTensor,
-    DistributionSamples,
     NonPositiveTolerance,
     ParseError,
     SchemaVersionUnsupported,
     SymmetryViolation,
     build_model,
     build_r1,
-    distribution_at,
     load_samples,
     load_tensor,
     random_skew,
@@ -28,8 +26,10 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
+import curvlab.cli as cli
 import curvlab.io as cio
 from curvlab.io import load_matrix, render_json
+from curvlab.models import distribution_samples
 
 from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
 
@@ -433,12 +433,7 @@ class TestSchemaVersion:
 
 class TestSamplesFiles:
     def test_roundtrip(self, tmp_path):
-        j = standard_complex_structure(4)
-        entries = [
-            (s, distribution_at(j, s).basis.T)
-            for s in unit_sphere_samples(4, 8, seed=3)
-        ]
-        samples = DistributionSamples(4, entries)
+        samples = distribution_samples(standard_complex_structure(4), unit_sphere_samples(4, 8, seed=3))
         path = tmp_path / "samples.json"
         save_samples(samples, path)
         loaded = load_samples(path)
@@ -755,13 +750,9 @@ class TestCliContract:
         assert "usage:" in result.stdout
 
     def test_fit_distribution_cli(self, tmp_path):
-        j = standard_complex_structure(4)
-        entries = [
-            (s, distribution_at(j, s).basis.T)
-            for s in unit_sphere_samples(4, 30, seed=11)[4:]
-        ]
+        points = unit_sphere_samples(4, 30, seed=11)[4:]
         path = tmp_path / "samples.json"
-        save_samples(DistributionSamples(4, entries), path)
+        save_samples(distribution_samples(standard_complex_structure(4), points), path)
         result = run_cli("fit-distribution", str(path), "--format", "json")
         assert result.returncode == 0
         payload = json.loads(result.stdout)
@@ -769,13 +760,9 @@ class TestCliContract:
         assert payload["results"]["residual"] < 1e-12
 
     def test_fit_distribution_json_stable(self, tmp_path):
-        a = random_skew(6, 8)
-        entries = [
-            (s, distribution_at(a, s).basis.T)
-            for s in unit_sphere_samples(6, 40, seed=8)[6:]
-        ]
+        points = unit_sphere_samples(6, 40, seed=8)[6:]
         path = tmp_path / "samples.json"
-        save_samples(DistributionSamples(6, entries), path)
+        save_samples(distribution_samples(random_skew(6, 8), points), path)
         first = run_cli("fit-distribution", str(path), "--format", "json")
         second = run_cli("fit-distribution", str(path), "--format", "json")
         assert first.returncode == 0
@@ -815,6 +802,27 @@ class TestCliContract:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "all passed" in result.stdout
 
+    def test_lemma_suite_json_reports_value_and_threshold(self):
+        args = ("lemma-suite", "--dims", "4", "--trials", "4", "--format", "json")
+        first, second = run_cli(*args), run_cli(*args)
+        assert first.stdout == second.stdout
+        results = json.loads(first.stdout)["results"]
+        assert len(results) == 21
+        assert all(r["passed"] == (r["value"] <= r["threshold"]) for r in results)
+
+    def test_stray_value_error_is_not_input_error(self, tmp_path, monkeypatch, capsys):
+        # only input errors the command raises as such exit 1; a library fault propagates
+        path = tmp_path / "tensor.json"
+        save_tensor(build_model(1.0, 1, standard_complex_structure(4)), path)
+
+        def broken(*args, **kwargs):
+            raise ValueError("stray")
+
+        monkeypatch.setattr(cli, "recover_decomposition", broken)
+        with pytest.raises(ValueError, match="stray"):
+            cli.main(["decompose", str(path)])
+        assert "error: stray" not in capsys.readouterr().err
+
 
 # Modules each subcommand may load.  The script runs the CLI as ``python -m``
 # does and prints the curvlab submodules loaded when the process exits.
@@ -839,9 +847,7 @@ def test_subcommand_loads_only_its_modules(tmp_path, command, loaded):
     tensor = tmp_path / "tensor.json"
     save_tensor(build_model(1.0, 1, standard_complex_structure(4)), tensor)
     samples = tmp_path / "samples.json"
-    a = random_skew(4, 2)
-    entries = [(s, distribution_at(a, s).basis.T) for s in unit_sphere_samples(4, 12, seed=2)]
-    save_samples(DistributionSamples(4, entries), samples)
+    save_samples(distribution_samples(random_skew(4, 2), unit_sphere_samples(4, 12, seed=2)), samples)
     args = {
         "fit-distribution": [str(samples)],
         "generate": ["--dim", "4", "--kappa", "1", "--tau", "0", "--out", str(tmp_path / "g.json")],

@@ -25,6 +25,7 @@ from curvlab import (
     unit_sphere_samples,
 )
 from curvlab.isotropy import _median, _spectra_on_complement
+from curvlab.lemmas import extremal_deviation
 from curvlab.models import (
     block_diagonal_skew,
     case4_instance,
@@ -224,12 +225,8 @@ class TestExtremalCurvature:
         kappa = float(rng.uniform(-2, 2))
         tau = int(rng.choice([-1, 1]))
         a = random_skew(d, seed)
-        model = build_model(kappa, tau, a)
-        for s in unit_sphere_samples(d, 6, seed):
-            expected = kappa + 3.0 * tau * float(np.dot(a @ s, a @ s))
-            assert extremal_curvature(model, kappa, s) == pytest.approx(
-                expected, abs=1e-8 * max(1.0, abs(expected))
-            )
+        model = (build_model(kappa, tau, a), kappa, tau, a)
+        assert extremal_deviation([model], [unit_sphere_samples(d, 6, seed)]) < 1e-8
 
 
 class TestEigenspaceAt:

@@ -28,6 +28,7 @@ from curvlab import (
     ricci,
     standard_complex_structure,
 )
+from curvlab.lemmas import einstein_mismatches, mu_product_deviation
 from curvlab.models import (
     case2_instance,
     case3_instance,
@@ -35,17 +36,12 @@ from curvlab.models import (
     plane_operator,
     quaternion_instance,
     quaternion_j,
+    random_unit,
     two_plane_operator,
+    unit_orthogonal_to,
 )
 
-
-def canonical_pair(mu1, mu2, w1, w2):
-    """Same normalization the classifier applies: mu1 >= mu2, mu1 + mu2 >= 0."""
-    if mu1 + mu2 < 0:
-        mu1, mu2 = -mu1, -mu2
-    if mu1 < mu2:
-        mu1, mu2, w1, w2 = mu2, mu1, w2, w1
-    return mu1, mu2, w1, w2
+from _oracles import canonical_pair
 
 
 class TestCommuteType:
@@ -175,8 +171,7 @@ class TestClassifyKahler:
             assert result.mu2 == pytest.approx(mu2, abs=1e-8)
             assert result.w1.angle_to(w1) < 1e-6
             assert result.w2.angle_to(w2) < 1e-6
-            ratio = result.kappa / result.tau
-            assert abs(result.mu1 * result.mu2 - ratio) < 1e-8 * max(1.0, abs(ratio))
+            assert mu_product_deviation([instance]) < 1e-8
 
 
 class TestIdentityResiduals:
@@ -184,11 +179,8 @@ class TestIdentityResiduals:
         j = standard_complex_structure(6)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            x = rng.standard_normal(6)
-            x /= np.linalg.norm(x)
-            y = rng.standard_normal(6)
-            y -= np.dot(y, x) * x
-            y /= np.linalg.norm(y)
+            x = random_unit(6, rng)
+            y = unit_orthogonal_to(x, rng)
             res_one, res_two = identity_residuals(1.0, 1, j, j, x, y)
             assert res_one < 1e-10
             assert res_two < 1e-10
@@ -199,11 +191,8 @@ class TestIdentityResiduals:
         a, _ = two_plane_operator(j, 2.0, 0.5, w1)
         rng = np.random.default_rng(1)
         for _ in range(20):
-            x = rng.standard_normal(4)
-            x /= np.linalg.norm(x)
-            y = rng.standard_normal(4)
-            y -= np.dot(y, x) * x
-            y /= np.linalg.norm(y)
+            x = random_unit(4, rng)
+            y = unit_orthogonal_to(x, rng)
             res_one, res_two = identity_residuals(1.0, 1, a, j, x, y)
             assert res_one < 1e-10
             assert res_two < 1e-10
@@ -278,12 +267,7 @@ class TestEinsteinCheck:
         kappa = float(rng.uniform(-2, 2))
         tau = int(rng.choice([-1, 1]))
         a = random_skew(d, seed)
-        model = build_model(kappa, tau, a)
-        a2 = a @ a
-        scalar_part = (np.trace(a2) / d) * np.eye(d)
-        is_multiple = float(np.max(np.abs(a2 - scalar_part))) < 1e-9
-        is_einstein, _ = einstein_check(model, 1e-9)
-        assert is_einstein == is_multiple
+        assert einstein_mismatches([(build_model(kappa, tau, a), kappa, tau, a)]) == 0
 
     def test_ricci_einstein_relation_on_case4(self):
         instance = case4_instance(6, -2.0, seed=4)

@@ -23,31 +23,18 @@ from curvlab import (
     tangency_profile,
     unit_sphere_samples,
 )
-from curvlab.models import block_diagonal_skew, plane_operator
+from curvlab.lemmas import line_angle, membership_overlap, structure_angle
+from curvlab.models import (
+    block_diagonal_skew,
+    distribution_samples,
+    plane_operator,
+    random_unit,
+    sphere_point_instance,
+    unit_orthogonal_to,
+)
 from curvlab.sphere import _fit_form
 
 from _oracles import oracle_fit_form
-
-
-def matrix_line_angle(a, b):
-    """Angle between the lines spanned by two matrices in Frobenius geometry."""
-    cosine = abs(float(np.sum(a * b))) / (
-        float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    )
-    cosine = min(1.0, cosine)
-    if cosine > 0.7:
-        residual = a / np.linalg.norm(a) - cosine * b / np.linalg.norm(b)
-        alt = a / np.linalg.norm(a) + cosine * b / np.linalg.norm(b)
-        sine = min(float(np.linalg.norm(residual)), float(np.linalg.norm(alt)))
-        return float(np.arcsin(min(1.0, sine)))
-    return float(np.arccos(cosine))
-
-
-def exact_samples(a, d, count, seed):
-    entries = []
-    for s in unit_sphere_samples(d, count, seed)[d:]:
-        entries.append((s, distribution_at(a, s).basis.T))
-    return DistributionSamples(d, entries)
 
 
 def fit_case(kind, d, seed):
@@ -121,13 +108,8 @@ class TestDistributionAt:
     def test_membership_symmetry(self, seed, d):
         # x in D_s forces s in D_x: both overlaps vanish by skew symmetry
         a = random_skew(d, seed)
-        rng = np.random.default_rng(seed)
-        s = rng.standard_normal(d)
-        s /= np.linalg.norm(s)
-        space = distribution_at(a, s)
-        for x in space.basis.T:
-            assert abs(float(np.dot(x, a @ s))) < 1e-10
-            assert abs(float(np.dot(s, a @ x))) < 1e-10
+        s = random_unit(d, np.random.default_rng(seed))
+        assert membership_overlap((a, s, x) for x in distribution_at(a, s).basis.T) < 1e-10
 
 
 class TestTangencyProfile:
@@ -163,19 +145,19 @@ class TestTangencyProfile:
 class TestFitSkewFromSamples:
     def test_planted_standard_j(self):
         j = standard_complex_structure(4)
-        samples = exact_samples(j, 4, 40, seed=5)
+        samples = distribution_samples(j, unit_sphere_samples(4, 40, seed=5)[4:])
         fit = fit_skew_from_samples(samples)
-        assert matrix_line_angle(fit.skew, j) < 1e-6
+        assert line_angle(fit.skew, j) < 1e-6
         assert fit.residual < 1e-12
         assert fit.gap > 0.01
         assert abs(np.linalg.norm(fit.skew) - 1.0) < 1e-12
 
     def test_planted_singular_operator(self):
         a = block_diagonal_skew(6, [1.3, 0.6])
-        samples = exact_samples(a, 6, 50, seed=9)
+        samples = distribution_samples(a, unit_sphere_samples(6, 50, seed=9)[6:])
         fit = fit_skew_from_samples(samples)
         assert fit.gap > 1e-6
-        assert matrix_line_angle(fit.skew, a) < 1e-6
+        assert line_angle(fit.skew, a) < 1e-6
 
     def test_single_point_underdetermined(self):
         j = standard_complex_structure(4)
@@ -188,12 +170,7 @@ class TestFitSkewFromSamples:
         rng = np.random.default_rng(99)
         entries = []
         for s in unit_sphere_samples(4, 40, seed=7)[4:]:
-            tangents = []
-            for _ in range(2):
-                t = rng.standard_normal(4)
-                t -= np.dot(t, s) * s
-                tangents.append(t / np.linalg.norm(t))
-            entries.append((s, np.asarray(tangents)))
+            entries.append((s, np.array([unit_orthogonal_to(s, rng) for _ in range(2)])))
         fit = fit_skew_from_samples(DistributionSamples(4, entries))
         assert fit.residual > 0.01
 
@@ -211,7 +188,7 @@ class TestFitSkewFromSamples:
             entries.append((s, basis[index % basis.shape[0]][None, :]))
         fit = fit_skew_from_samples(DistributionSamples(4, entries))
         if fit.gap > 1e-6:
-            assert matrix_line_angle(fit.skew, j) < 1e-6
+            assert line_angle(fit.skew, j) < 1e-6
 
     @pytest.mark.parametrize("d", [4, 6, 8])
     @pytest.mark.parametrize("kind", ["exact", "noisy", "mixed", "single"])
@@ -255,9 +232,7 @@ class TestFitSkewFromSamples:
         d = 16
         m = d * (d - 1) // 2
         a = random_skew(d, 6)
-        entries = [(s, distribution_at(a, s).basis.T)
-                   for s in unit_sphere_samples(d, d + points, seed=6)[d:]]
-        samples = DistributionSamples(d, entries)
+        samples = distribution_samples(a, unit_sphere_samples(d, d + points, seed=6)[d:])
         tracemalloc.start()
         try:
             fit_skew_from_samples(samples)
@@ -271,7 +246,7 @@ class TestFitSkewFromSamples:
         # tangent rows into one (N, m) matrix would exceed the bound
         d = 32
         m = d * (d - 1) // 2
-        samples = exact_samples(random_skew(d, 4), d, d + 128, seed=4)
+        samples = distribution_samples(random_skew(d, 4), unit_sphere_samples(d, d + 128, seed=4)[d:])
         assert samples.tangent_count == 3840
         tracemalloc.start()
         try:
@@ -307,18 +282,8 @@ class TestSphereStructureCheck:
 
     def test_seeded_instances(self):
         rng = np.random.default_rng(21)
-        for trial in range(10):
-            d = (4, 6, 8)[trial % 3]
-            blocks = [float(rng.uniform(0.5, 2.0))]
-            if d == 8:
-                blocks.append(float(rng.uniform(0.5, 2.0)))
-            a = block_diagonal_skew(d, blocks)
-            k = np.zeros(d)
-            k[-1] = 1.0
-            m = np.zeros(d)
-            m[0] = 1.0
-            big_t = float(rng.uniform(0.1, 1.4))
-            assert sphere_structure_check(a, k, m, big_t) < 1e-10
+        instances = [sphere_point_instance((4, 6, 8)[trial % 3], rng) for trial in range(10)]
+        assert structure_angle(instances) < 1e-10
 
 
 class TestSphereDecompositionFacts:
