@@ -33,6 +33,7 @@ from .errors import (
     MathematicalRejection,
     NonPositiveTolerance,
     ParseError,
+    PreconditionViolated,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -152,7 +153,7 @@ def cmd_classify(args) -> int:
     else:
         try:
             j = require_complex_structure(cio.load_matrix(args.j_spec, expected_dim=tensor.dim))
-        except ValueError as exc:
+        except PreconditionViolated as exc:
             raise ParseError(f"{args.j_spec}: {exc}") from exc
     report = {
         "command": "classify",

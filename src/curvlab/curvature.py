@@ -243,11 +243,7 @@ def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:
         bianchi = max(bianchi, _max_abs(np.add(scratch, c[:, :, i], out=scratch)))
     kahler = None
     if j is not None:
-        j = require_complex_structure(j)
-        if j.shape[0] != r.dim:
-            raise DimensionMismatch(
-                f"complex structure is {j.shape[0]}-dimensional, tensor is {r.dim}"
-            )
+        j = require_complex_structure(j, dim=d)
         # rotated[i, j, kl] = sum_ab J[a, i] J[b, j] c[a, b, kl] as two GEMMs,
         # first over b batched across a, then over a
         kahler, columns = 0.0, c.reshape(d, d, d * d)
@@ -298,11 +294,7 @@ def nullity_space(r: CurvatureTensor, tol: float = DEFAULT_TOL) -> Subspace:
 
 def holomorphic_sectional(r: CurvatureTensor, j, v) -> float:
     """Sectional curvature of the plane span(v, Jv) for unit v."""
-    j = require_complex_structure(j)
-    if j.shape[0] != r.dim:
-        raise DimensionMismatch(
-            f"complex structure is {j.shape[0]}-dimensional, tensor is {r.dim}"
-        )
+    j = require_complex_structure(j, dim=r.dim)
     v = require_unit(v)
     return sectional_curvature(r, v, j @ v)
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported, SymmetryViolation
-from .linalg import DEFAULT_TOL, require_tol
+from .linalg import DEFAULT_TOL, require_tol, require_within
 
 if TYPE_CHECKING:
     from .curvature import CurvatureTensor
@@ -377,16 +377,11 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
         raise ParseError(f"{path}: components: values must be finite") from exc
     report = validate_symmetries(tensor)
     scale = max(1.0, tensor.max_abs)
-    for name, resid in (
-        ("antisymmetry", report.antisymmetry_residual),
-        ("pair-exchange", report.pair_exchange_residual),
-        ("first Bianchi", report.bianchi_residual),
-    ):
-        if resid > tol * scale:
-            raise SymmetryViolation(
-                f"{path}: {name} identity fails with residual {resid:.3e} "
-                f"(tolerance {tol * scale:.3e})"
-            )
+    for name, resid in (("antisymmetry", report.antisymmetry_residual),
+                        ("pair-exchange", report.pair_exchange_residual),
+                        ("first Bianchi", report.bianchi_residual)):
+        require_within(resid, tol * scale, SymmetryViolation,
+                       f"{path}: {name} identity fails with residual")
     return tensor
 
 

@@ -29,6 +29,7 @@ from .linalg import (
     Subspace,
     canonical_sign_matrix,
     require_tol,
+    require_within,
     scale_of,
     symmetric_spectrum,
     unit_sphere_samples,
@@ -123,10 +124,8 @@ def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, in
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
     size = max(1, r.dim - 2)
     centers, widths = _tightest_windows(eigenvalues[None], size)
-    if widths[0] > tol * scale:
-        raise NoDominantEigenvalue(
-            f"no eigenvalue cluster of size {size}: tightest width {widths[0]:.3e}"
-        )
+    require_within(widths[0], tol * scale, NoDominantEigenvalue,
+                   f"no eigenvalue cluster of size {size}: tightest width")
     kappa_s = float(centers[0])
     multiplicity = int(np.sum(np.abs(eigenvalues - kappa_s) <= tol * scale))
     return kappa_s, multiplicity
@@ -178,7 +177,7 @@ def _median(values: np.ndarray) -> float:
 
 
 def _scan(r, n_samples, seed, tol):
-    """The scan's report, with the eigenvalues and eigenvectors it computed."""
+    """The scan's report, the eigenvalues and eigenvectors it computed, and its threshold."""
     d = r.dim
     if n_samples is None:
         n_samples = max(2 * d, 12)
@@ -193,12 +192,8 @@ def _scan(r, n_samples, seed, tol):
         centers, widths = _tightest_windows(spectra, max(1, d - 2))
         clustered = centers[widths <= tol * scale]
         if clustered.size:
-            spread = float(clustered.max() - clustered.min())
-            if spread > tol * scale:
-                raise InconsistentKappa(
-                    f"per-sample constants disagree by {spread:.3e} "
-                    f"(tolerance {tol * scale:.3e})"
-                )
+            require_within(float(clustered.max() - clustered.min()), tol * scale,
+                           InconsistentKappa, "per-sample constants disagree by")
             kappa = float(np.mean(clustered))
         else:
             kappa = _median(centers)
@@ -213,7 +208,7 @@ def _scan(r, n_samples, seed, tol):
         worst_rank_residual=worst_rank,
         samples_used=n_samples,
     )
-    return report, spectra, vectors
+    return report, spectra, vectors, tol * scale
 
 
 def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
@@ -241,11 +236,11 @@ def _column_candidates(eigenvalues, vectors, kappa, tol, scale):
     deviations = (eigenvalues - kappa) / 3.0
     order = np.argsort(np.abs(deviations), axis=1)
     ranked = np.take_along_axis(deviations, order, axis=1)
-    bad = np.flatnonzero(np.any(np.abs(ranked[:, :-1]) > tol * scale, axis=1))
+    bad = np.flatnonzero(np.any(~(np.abs(ranked[:, :-1]) <= tol * scale), axis=1))  # NaN fails
     if bad.size:
         raise NotAlmostIsotropic(
-            f"Jacobi deviation at basis vector {bad[0]} has rank above one "
-            f"(second eigenvalue {ranked[bad[0], -2]:.3e})"
+            f"Jacobi deviation at basis vector {bad[0]} has rank above one: second "
+            f"eigenvalue {ranked[bad[0], -2]:.3e} exceeds {tol * scale:.3e}"
         )
     top = ranked[:, -1]
     present = np.abs(top) > tol * scale  # basis vectors in ker(A) give no column
@@ -335,13 +330,10 @@ def recover_decomposition(
     tol = require_tol(tol)
     d = r.dim
     try:
-        report, spectra, vectors = _scan(r, n_samples, seed, tol)
+        report, spectra, vectors, threshold = _scan(r, n_samples, seed, tol)
     except (InconsistentKappa, NoDominantEigenvalue) as exc:
         raise NotAlmostIsotropic(str(exc)) from exc
-    if not report.is_almost_isotropic:
-        raise NotAlmostIsotropic(
-            f"worst rank residual {report.worst_rank_residual:.3e} exceeds tolerance"
-        )
+    require_within(report.worst_rank_residual, threshold, NotAlmostIsotropic, "worst rank residual")
     kappa = report.kappa
     scale = max(1.0, r.max_abs)
     if report.samples_used < d:  # the scan's samples start with e_1..e_d
@@ -374,8 +366,5 @@ def recover_decomposition(
         _model_slab(slab, i, kappa, tau, skew, scratch)
         residual = max(residual, _max_abs(np.subtract(slab, r.components[i], out=slab)))
     residual /= scale
-    if residual > tol:
-        raise SignResolutionFailure(
-            f"reconstruction residual {residual:.3e} exceeds tolerance {tol:g}"
-        )
+    require_within(residual, tol, SignResolutionFailure, "reconstruction residual")
     return Decomposition(kappa=kappa, tau=tau, skew=skew, residual=residual)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .curvature import CurvatureTensor, ricci, validate_symmetries
 from .errors import (
-    DimensionMismatch,
     InconsistentTau,
     NotKahler,
     SignResolutionFailure,
@@ -37,6 +36,7 @@ from .linalg import (
     require_orthonormal,
     require_skew,
     require_tol,
+    require_within,
     scale_of,
     symmetric_spectrum,
 )
@@ -107,9 +107,7 @@ class BAnalysis:
 def commute_type(a, j, tol: float = DEFAULT_TOL) -> str:
     """Classify AJ versus JA: "commute", "anticommute", or "neither"."""
     a = require_skew(a)
-    j = require_complex_structure(j)
-    if a.shape != j.shape:
-        raise DimensionMismatch("operator and complex structure dimensions differ")
+    j = require_complex_structure(j, dim=len(a))
     threshold = tol * scale_of(a)
     commutator = float(np.max(np.abs(a @ j - j @ a)))
     anticommutator = float(np.max(np.abs(a @ j + j @ a)))
@@ -134,9 +132,7 @@ def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
 def analyze_b_operator(a, j, tol: float = DEFAULT_TOL) -> BAnalysis:
     """Commutation type and (when commuting) clustered eigenplanes of B = AJ."""
     a = require_skew(a)
-    j = require_complex_structure(j)
-    if a.shape != j.shape:
-        raise DimensionMismatch("operator and complex structure dimensions differ")
+    j = require_complex_structure(j, dim=len(a))
     b = a @ j
     kind = commute_type(a, j, tol)
     eigenvalues: list[float] = []
@@ -150,21 +146,10 @@ def analyze_b_operator(a, j, tol: float = DEFAULT_TOL) -> BAnalysis:
     return BAnalysis(b=b, commute_type=kind, eigenvalues=eigenvalues, eigenplanes=eigenplanes)
 
 
-def _require_j_invariant(plane: Subspace, j: np.ndarray, tol: float, what: str):
+def _require_j_invariant(plane: Subspace, j: np.ndarray, tol: float):
     p = plane.projector()
-    resid = float(np.max(np.abs((np.eye(plane.dim) - p) @ j @ p)))
-    if resid > tol:
-        raise StructureViolation(f"{what} is not J-invariant (residual {resid:.3e})")
-
-
-def _canonical_mu_pair(mu1, mu2, w1, w2):
-    # the tensor fixes the pair only up to joint negation; normalize to
-    # mu1 >= mu2 with mu1 + mu2 >= 0
-    if mu1 + mu2 < 0:
-        mu1, mu2 = -mu1, -mu2
-    if mu1 < mu2:
-        mu1, mu2, w1, w2 = mu2, mu1, w2, w1
-    return mu1, mu2, w1, w2
+    require_within(float(np.max(np.abs((np.eye(plane.dim) - p) @ j @ p))), tol,
+                   StructureViolation, "eigenplane of B is not J-invariant: residual")
 
 
 def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerClass:
@@ -183,14 +168,9 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
     report = validate_symmetries(r, j)
     max_abs = r.max_abs
     scale = max(1.0, max_abs)
-    if report.worst_base_residual > tol * scale:
-        raise SymmetryViolation(
-            f"curvature symmetries fail (worst residual {report.worst_base_residual:.3e})"
-        )
-    if report.kahler_residual > tol * scale:
-        raise NotKahler(
-            f"Kahler residual {report.kahler_residual:.3e} exceeds {tol * scale:.3e}"
-        )
+    require_within(report.worst_base_residual, tol * scale, SymmetryViolation,
+                   "curvature symmetries fail: worst residual")
+    require_within(report.kahler_residual, tol * scale, NotKahler, "Kahler residual")
 
     try:
         decomposition = recover_decomposition(r, tol)
@@ -204,77 +184,68 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
 
     if tau == 0:
         # an isotropic Kahler tensor in dimension >= 4 must vanish
-        if max_abs > tol * scale:
-            raise StructureViolation(
-                "isotropic (tau = 0) Kahler tensor must vanish in dimension >= 4"
-            )
+        require_within(max_abs, tol * scale, StructureViolation, "isotropic (tau = 0) "
+                       "Kahler tensor must vanish in dimension >= 4: largest entry")
         return Case4(c=0.0, w=Subspace.empty(d))
 
     analysis = analyze_b_operator(a, j, tol)
     if analysis.commute_type != "commute":
-        raise StructureViolation(
-            f"recovered skew operator {analysis.commute_type}s with J; "
-            "a Kahler almost isotropic tensor requires AJ = JA"
-        )
+        relation = {"anticommute": "anticommutes",
+                    "neither": "neither commutes nor anticommutes"}[analysis.commute_type]
+        raise StructureViolation(f"recovered skew operator {relation} with J; "
+                                 "a Kahler almost isotropic tensor requires AJ = JA")
     b = analysis.b
     scale_b = scale_of(b)
+    groups = list(zip(analysis.eigenvalues, analysis.eigenplanes))
 
     if abs(kappa) <= tol * scale:
         # flat case: A = mu * J P_W for a single holomorphic plane W
-        nonzero = [
-            (value, plane)
-            for value, plane in zip(analysis.eigenvalues, analysis.eigenplanes)
-            if abs(value) > tol * scale_b
-        ]
+        nonzero = [(value, plane) for value, plane in groups if abs(value) > tol * scale_b]
         if len(nonzero) != 1 or nonzero[0][1].dimension != 2:
-            raise StructureViolation(
-                "flat case requires exactly one 2-dimensional nonzero eigenplane of B"
-            )
-        beta, plane = nonzero[0]
-        mu = -beta
-        _require_j_invariant(plane, j, tol * scale_b, "eigenplane of B")
-        structure = j @ (mu * plane.projector())
-        if float(np.max(np.abs(a - structure))) > tol * scale_of(a):
-            raise StructureViolation("skew operator is not J composed with a plane projection")
+            raise StructureViolation("flat case requires exactly one 2-dimensional nonzero "
+                                     "eigenplane of B")
+        mu, plane = -nonzero[0][0], nonzero[0][1]
+        _require_j_invariant(plane, j, tol * scale_b)
+        require_within(float(np.max(np.abs(a - j @ (mu * plane.projector())))), tol * scale_of(a),
+                       StructureViolation,
+                       "skew operator is not J composed with a plane projection: residual")
         return Case4(c=float(tau * mu * mu), w=plane)
 
     ratio = kappa / tau
+    ratio_tol = tol * max(1.0, abs(ratio))
+    # Case 3: B is a multiple of the identity in dimension >= 6, and may be in dimension 4
     if d >= 6:
-        mu_hat = float(np.trace(b)) / d
-        if float(np.max(np.abs(b - mu_hat * np.eye(d)))) > tol * scale_b:
-            raise StructureViolation(
-                "B = AJ must be a multiple of the identity in dimension >= 6"
-            )
-        if abs(mu_hat * mu_hat - ratio) > tol * max(1.0, abs(ratio)):
-            raise StructureViolation("eigenvalue of B fails mu^2 = kappa/tau")
+        mu = float(np.trace(b)) / d
+        require_within(float(np.max(np.abs(b - mu * np.eye(d)))), tol * scale_b,
+                       StructureViolation,
+                       "B = AJ must be a multiple of the identity in dimension >= 6: residual")
+    elif len(groups) == 1:
+        mu = groups[0][0]  # B's eigenvalue is -mu, and only mu^2 is checked
+    if d >= 6 or len(groups) == 1:
+        require_within(abs(mu * mu - ratio), ratio_tol, StructureViolation,
+                       "eigenvalue of B fails mu^2 = kappa/tau: residual")
         return Case3(kappa=kappa)
 
-    # d == 4 with kappa != 0
-    groups = list(zip(analysis.eigenvalues, analysis.eigenplanes))
-    if len(groups) == 1:
-        beta = groups[0][0]
-        mu = -beta
-        if abs(mu * mu - ratio) > tol * max(1.0, abs(ratio)):
-            raise StructureViolation("eigenvalue of B fails mu^2 = kappa/tau")
-        return Case3(kappa=kappa)
+    # d == 4 with kappa != 0 and two eigenvalues of B
     if len(groups) != 2 or any(plane.dimension != 2 for _, plane in groups):
-        raise StructureViolation(
-            "B must have one or two J-invariant eigenplanes in dimension 4"
-        )
+        raise StructureViolation("B must have one or two J-invariant eigenplanes in dimension 4")
     (beta1, plane1), (beta2, plane2) = groups
     mu1, mu2 = -beta1, -beta2
     for plane in (plane1, plane2):
-        _require_j_invariant(plane, j, tol * scale_b, "eigenplane of B")
-    if abs(mu1 * mu2 - ratio) > tol * max(1.0, abs(ratio)):
-        raise StructureViolation(
-            f"eigenvalue product {mu1 * mu2:.6g} fails mu1 mu2 = kappa/tau = {ratio:.6g}"
-        )
+        _require_j_invariant(plane, j, tol * scale_b)
+    require_within(abs(mu1 * mu2 - ratio), ratio_tol, StructureViolation,
+                   f"eigenvalue product {mu1 * mu2:.6g} fails mu1 mu2 = kappa/tau = {ratio:.6g}: "
+                   "residual")
     structure = j @ (mu1 * plane1.projector() + mu2 * plane2.projector())
-    if float(np.max(np.abs(a - structure))) > tol * scale_of(a):
-        raise StructureViolation("skew operator is not J composed with weighted plane projections")
+    require_within(float(np.max(np.abs(a - structure))), tol * scale_of(a), StructureViolation,
+                   "skew operator is not J composed with weighted plane projections: residual")
     if abs(mu1 - mu2) <= tol * scale_b:
         return Case3(kappa=kappa)
-    mu1, mu2, plane1, plane2 = _canonical_mu_pair(mu1, mu2, plane1, plane2)
+    # the tensor fixes the pair only up to joint negation: report mu1 >= mu2, mu1 + mu2 >= 0
+    if mu1 + mu2 < 0:
+        mu1, mu2 = -mu1, -mu2
+    if mu1 < mu2:
+        mu1, mu2, plane1, plane2 = mu2, mu1, plane2, plane1
     return Case2(kappa=kappa, tau=tau, mu1=float(mu1), mu2=float(mu2), w1=plane1, w2=plane2)
 
 

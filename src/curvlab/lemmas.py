@@ -25,7 +25,14 @@ from .isotropy import (
     extremal_curvature,
     recover_decomposition,
 )
-from .kahler import Case2, classify_kahler, commute_type, einstein_check
+from .kahler import (
+    Case2,
+    classify_kahler,
+    commute_type,
+    einstein_check,
+    identity_residuals,
+    relations_residuals,
+)
 from .linalg import (
     Subspace,
     random_skew,
@@ -250,6 +257,38 @@ def mu_product_deviation(instances) -> float:
     return _worst(abs(r.mu1 * r.mu2 - r.kappa / r.tau) / max(1.0, abs(r.kappa / r.tau)) for r in results)
 
 
+def kahler_identity_residual(instances, rng) -> float:
+    """Worst residual of the two ``identity_residuals`` identities of Kahler instances.
+
+    Draws 20 orthonormal pairs (x, y) per instance; an instance without a
+    kappa (the flat case) has kappa = 0.
+    """
+    worst = 0.0
+    for instance in instances:
+        kappa, tau, a, j = instance.get("kappa", 0.0), instance["tau"], instance["skew"], instance["j"]
+        for _ in range(20):
+            x = random_unit(len(j), rng)
+            worst = max(worst, *identity_residuals(kappa, tau, a, j, x, unit_orthogonal_to(x, rng)))
+    return worst
+
+
+def relations_residual(instances) -> float:
+    """Worst ``relations_residuals`` over classified B-eigenpairs; ``inf`` unless the case is 2.
+
+    Pairs the first eigenvectors of the two planes, and the two eigenvectors
+    within each plane.
+    """
+    results = _case2_results(instances)
+    if results is None:
+        return np.inf
+    worst = 0.0
+    for instance, r in zip(instances, results):
+        (u1, u2), (v1, v2) = r.w1.basis.T, r.w2.basis.T
+        for e1, mu1, e2, mu2 in ((u1, r.mu1, v1, r.mu2), (u1, r.mu1, u2, r.mu1), (v1, r.mu2, v2, r.mu2)):
+            worst = max(worst, *relations_residuals(r.kappa, r.tau, mu1, mu2, e1, e2, instance["j"]))
+    return worst
+
+
 def nullity_angle(instances) -> float:
     """Worst angle between the nullity space and W-perp of flat-case instances.
 
@@ -289,8 +328,8 @@ def run_suite(dims=(4, 6), trials: int = 25, seed: int = 0) -> list[CheckResult]
     if not dims:
         raise ParseError("at least one dimension is required")
     for d in dims:
-        if d < 2:
-            raise ParseError(f"dimension must be at least 2, got {d}")
+        if d < 3:  # every tensor in dimension 2 is kappa R1, so (kappa, tau, A) is not recoverable
+            raise ParseError(f"dimension must be at least 3, got {d}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -305,7 +344,8 @@ def run_suite(dims=(4, 6), trials: int = 25, seed: int = 0) -> list[CheckResult]
         if space.dimension:
             tangents.append((a, s, space.basis[:, int(rng.integers(space.dimension))]))
     even = [(trial, d) for trial, d in enumerate(draws) if d % 2 == 0]
-    constant = [as_model(case3_instance(d, 1.0 + 0.1 * trial)) for trial, d in even]
+    holomorphic = [case3_instance(d, 1.0 + 0.1 * trial) for trial, d in even]
+    constant = [as_model(instance) for instance in holomorphic]
     flat = [
         case4_instance(d, float(rng.uniform(0.5, 3.0)) * float(rng.choice([-1.0, 1.0])), seed + trial)
         for trial, d in even if d >= 4
@@ -340,6 +380,9 @@ def run_suite(dims=(4, 6), trials: int = 25, seed: int = 0) -> list[CheckResult]
         ("planted distribution recovery", "worst angle", 1e-6, planted_fit_angle(planted)),
         ("sphere distribution decomposition", "worst angle", 1e-10, structure_angle(
             sphere_point_instance(d, rng) for d in draws if d >= 4)),
+        ("Kahler compatibility identities", "worst residual", 1e-10,
+         kahler_identity_residual(case2 + holomorphic + flat, rng)),
+        ("eigenvalue relations of B eigenpairs", "worst residual", 1e-10, relations_residual(case2)),
     ]
     return [CheckResult(name, value <= threshold, detail, value, threshold)
             for name, detail, threshold, value in checks]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     NonOrthonormalBasis,
     NonPositiveTolerance,
     NotOrthonormal,
@@ -22,6 +23,7 @@ from .errors import (
     NotUnit,
     NumericalFailure,
     OddDimension,
+    PreconditionViolated,
 )
 
 #: Default relative tolerance for rank decisions and residual checks.
@@ -42,6 +44,16 @@ def _lapack(routine, *args, **kwargs):
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"numpy.linalg.{routine.__name__}: {exc}") from exc
+
+
+def require_within(value, threshold, error, what: str) -> None:
+    """Raise ``error`` unless ``value <= threshold``, so a NaN value always fails.
+
+    The one home of every scalar tolerance reject in the package; the
+    message reads ``"<what> <value> exceeds <threshold>"``.
+    """
+    if not value <= threshold:
+        raise error(f"{what} {value:.3e} exceeds {threshold:.3e}")
 
 
 def scale_of(a) -> float:
@@ -66,12 +78,8 @@ def require_unit(v, tol: float = UNIT_TOL, name: str = "vector") -> np.ndarray:
 def require_orthonormal(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
     """Stack vectors as rows after checking their Gram matrix is the identity."""
     rows = np.asarray([np.asarray(v, dtype=float) for v in vectors])
-    gram = rows @ rows.T
-    resid = float(np.max(np.abs(gram - np.eye(rows.shape[0])))) if rows.size else 0.0
-    if resid > tol:
-        raise NotOrthonormal(
-            f"vectors are not orthonormal: Gram residual {resid:.3e} > {tol:g}"
-        )
+    resid = float(np.max(np.abs(rows @ rows.T - np.eye(len(rows))))) if rows.size else 0.0
+    require_within(resid, tol, NotOrthonormal, "vectors are not orthonormal: Gram residual")
     return rows
 
 
@@ -82,25 +90,26 @@ def require_skew(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
         raise NotSkew(f"{name} must be a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise NotSkew(f"{name} must not be empty, got shape {a.shape}")
-    resid = float(np.max(np.abs(a + a.T)))
-    if resid > tol * scale_of(a):
-        raise NotSkew(f"{name} is not skew symmetric: residual {resid:.3e}")
+    require_within(float(np.max(np.abs(a + a.T))), tol * scale_of(a), NotSkew,
+                   f"{name} is not skew symmetric: residual")
     return a
 
 
-def require_complex_structure(j, tol: float = 1e-12) -> np.ndarray:
-    """Validate an orthogonal almost complex structure (J^T J = Id, J^2 = -Id)."""
+def require_complex_structure(j, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:
+    """Validate J^T J = Id and J^2 = -Id on R^dim, else raise ``PreconditionViolated``."""
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise ValueError(f"complex structure must be square, got shape {j.shape}")
+        raise PreconditionViolated(f"complex structure must be square, got shape {j.shape}")
     d = j.shape[0]
     if d % 2:
         raise OddDimension(f"complex structure needs even dimension, got {d}")
     eye = np.eye(d)
-    if float(np.max(np.abs(j.T @ j - eye))) > tol:
-        raise ValueError("complex structure is not orthogonal")
-    if float(np.max(np.abs(j @ j + eye))) > tol:
-        raise ValueError("complex structure does not square to -Id")
+    require_within(float(np.max(np.abs(j.T @ j - eye))), tol, PreconditionViolated,
+                   "complex structure is not orthogonal: |J^T J - Id|")
+    require_within(float(np.max(np.abs(j @ j + eye))), tol, PreconditionViolated,
+                   "complex structure does not square to -Id: |J^2 + Id|")
+    if dim is not None and d != dim:
+        raise DimensionMismatch(f"complex structure is {d}-dimensional, expected {dim}")
     return j
 
 
@@ -237,13 +246,9 @@ class Subspace:
             raise NonOrthonormalBasis(
                 f"basis must have shape ({self.dim}, k), got {b.shape}"
             )
-        k = b.shape[1]
-        if k:
-            resid = float(np.max(np.abs(b.T @ b - np.eye(k))))
-            if resid > ORTHO_TOL:
-                raise NonOrthonormalBasis(
-                    f"basis Gram matrix deviates from identity by {resid:.3e}"
-                )
+        if b.shape[1]:
+            require_within(float(np.max(np.abs(b.T @ b - np.eye(b.shape[1])))), ORTHO_TOL,
+                           NonOrthonormalBasis, "basis Gram matrix deviates from identity by")
         object.__setattr__(self, "basis", b)
 
     @classmethod

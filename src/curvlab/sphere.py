@@ -24,6 +24,7 @@ from .linalg import (
     null_space,
     require_skew,
     require_unit,
+    require_within,
     scale_of,
 )
 
@@ -212,8 +213,8 @@ def tangency_profile(a, s, w, times) -> float:
     a = require_skew(a)
     s = require_unit(s, name="base point")
     w = require_unit(w, name="direction")
-    if abs(float(np.dot(s, w))) > _SAMPLE_TOL:
-        raise NotOrthonormal("great-circle direction must be orthogonal to the base point")
+    require_within(abs(float(np.dot(s, w))), _SAMPLE_TOL, NotOrthonormal,
+                   "great-circle direction must be orthogonal to the base point: overlap")
     times = np.asarray(times, dtype=float).ravel()
     if times.size == 0:
         return 0.0
@@ -322,12 +323,13 @@ def sphere_structure_check(a, k, m, big_t: float, tol: float = DEFAULT_TOL) -> f
         raise PreconditionViolated("operator has trivial kernel, no valid kernel direction")
     k = np.asarray(k, dtype=float)
     m = np.asarray(m, dtype=float)
-    if abs(np.linalg.norm(k) - 1.0) > _SAMPLE_TOL or abs(np.linalg.norm(m) - 1.0) > _SAMPLE_TOL:
-        raise PreconditionViolated("k and m must be unit vectors")
-    if float(np.linalg.norm(a @ k)) > tol * scale_of(a):
-        raise PreconditionViolated("k must lie in the kernel of the operator")
-    if float(np.linalg.norm(kernel.projector() @ m)) > tol:
-        raise PreconditionViolated("m must be orthogonal to the kernel")
+    for name, v in (("k", k), ("m", m)):
+        require_within(abs(float(np.linalg.norm(v)) - 1.0), _SAMPLE_TOL, PreconditionViolated,
+                       f"{name} must be a unit vector: |norm - 1|")
+    require_within(float(np.linalg.norm(a @ k)), tol * scale_of(a), PreconditionViolated,
+                   "k must lie in the kernel of the operator: |Ak|")
+    require_within(float(np.linalg.norm(kernel.projector() @ m)), tol, PreconditionViolated,
+                   "m must be orthogonal to the kernel: its kernel component")
     if not 0.0 < big_t < np.pi / 2.0:
         raise PreconditionViolated("mixing angle must lie strictly between 0 and pi/2")
 

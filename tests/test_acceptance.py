@@ -22,9 +22,7 @@ from curvlab import (
     classify_kahler,
     distribution_at,
     holomorphic_sectional,
-    identity_residuals,
     random_skew,
-    relations_residuals,
     save_tensor,
     standard_complex_structure,
     unit_sphere_samples,
@@ -36,8 +34,10 @@ from curvlab.lemmas import (
     extremal_deviation,
     geodesic_tangency,
     jacobi_deviation,
+    kahler_identity_residual,
     nullity_angle,
     planted_fit_angle,
+    relations_residual,
     ricci_deviation,
     roundtrip_error,
     structure_angle,
@@ -182,42 +182,13 @@ def test_criterion_07_einstein():
 def test_criterion_08_identity_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(17)
-    worst_identity = 0.0
-    kahler_cases = []
-    for seed in range(8):
-        kahler_cases.append(case2_instance(seed))
-    for d in (6, 8):
-        for kappa in (1.0, -1.0):
-            kahler_cases.append(case3_instance(d, kappa))
+    kahler_cases = [case2_instance(seed) for seed in range(8)]
+    kahler_cases += [case3_instance(d, kappa) for d in (6, 8) for kappa in (1.0, -1.0)]
     for d in (4, 6, 8):
-        kahler_cases.append(case4_instance(d, 1.7, seed=d))
-        kahler_cases.append(case4_instance(d, -0.9, seed=d + 10))
-    for instance in kahler_cases:
-        d = instance["tensor"].dim
-        for _ in range(20):
-            x = random_unit(d, rng)
-            y = unit_orthogonal_to(x, rng)
-            kappa = instance.get("kappa", 0.0)
-            res_one, res_two = identity_residuals(
-                kappa, instance["tau"], instance["skew"], instance["j"], x, y
-            )
-            worst_identity = max(worst_identity, res_one, res_two)
-
-    worst_relations = 0.0
-    for seed in range(10):
-        instance = case2_instance(seed)
-        result = classify_kahler(instance["tensor"], instance["j"])
-        assert isinstance(result, Case2)
-        pairs = [
-            (result.w1.basis[:, 0], result.mu1, result.w2.basis[:, 0], result.mu2),
-            (result.w1.basis[:, 0], result.mu1, result.w1.basis[:, 1], result.mu1),
-            (result.w2.basis[:, 0], result.mu2, result.w2.basis[:, 1], result.mu2),
-        ]
-        for e1, mu1, e2, mu2 in pairs:
-            res_three, res_four = relations_residuals(
-                result.kappa, result.tau, mu1, mu2, e1, e2, instance["j"]
-            )
-            worst_relations = max(worst_relations, res_three, res_four)
+        kahler_cases += [case4_instance(d, 1.7, seed=d), case4_instance(d, -0.9, seed=d + 10)]
+    worst_identity = kahler_identity_residual(kahler_cases, rng)
+    # inf unless every instance classifies as case 2
+    worst_relations = relations_residual([case2_instance(seed) for seed in range(10)])
 
     models = [seeded_model(index) for index in range(30)]
     worst_exchange = exchange_deviation(models, rng)

@@ -678,10 +678,11 @@ class TestCliContract:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--dims", "0"), "dimension must be at least 2, got 0"),
-            (("--dims", "4,-2"), "dimension must be at least 2, got -2"),
+            (("--dims", "0"), "dimension must be at least 3, got 0"),
+            (("--dims", "4,-2"), "dimension must be at least 3, got -2"),
             (("--trials", "0"), "trials must be at least 1, got 0"),
             (("--trials=-1",), "trials must be at least 1, got -1"),
+            (("--dims", "2"), "dimension must be at least 3, got 2"),
         ],
     )
     def test_lemma_suite_bad_counts_exit_one(self, args, message):
@@ -807,7 +808,7 @@ class TestCliContract:
         first, second = run_cli(*args), run_cli(*args)
         assert first.stdout == second.stdout
         results = json.loads(first.stdout)["results"]
-        assert len(results) == 21
+        assert len(results) == 23
         assert all(r["passed"] == (r["value"] <= r["threshold"]) for r in results)
 
     def test_stray_value_error_is_not_input_error(self, tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from curvlab import (
     NonPositiveTolerance,
     NotKahler,
     Subspace,
+    StructureViolation,
     SymmetryViolation,
     almost_isotropy_scan,
     analyze_b_operator,
@@ -28,7 +29,13 @@ from curvlab import (
     ricci,
     standard_complex_structure,
 )
-from curvlab.lemmas import einstein_mismatches, mu_product_deviation
+from curvlab import kahler
+from curvlab.lemmas import (
+    einstein_mismatches,
+    kahler_identity_residual,
+    mu_product_deviation,
+    relations_residual,
+)
 from curvlab.models import (
     case2_instance,
     case3_instance,
@@ -36,9 +43,7 @@ from curvlab.models import (
     plane_operator,
     quaternion_instance,
     quaternion_j,
-    random_unit,
     two_plane_operator,
-    unit_orthogonal_to,
 )
 
 from _oracles import canonical_pair
@@ -150,6 +155,18 @@ class TestClassifyKahler:
         with pytest.raises(SymmetryViolation):
             classify_kahler(CurvatureTensor(4, comp), standard_complex_structure(4))
 
+    @pytest.mark.parametrize("kind, wording", [
+        ("anticommute", "recovered skew operator anticommutes with J; "),
+        ("neither", "recovered skew operator neither commutes nor anticommutes with J; "),
+    ])
+    def test_noncommuting_operator_wording(self, kind, wording, monkeypatch):
+        # a tensor that passes the Kahler check recovers a commuting A, so force the type
+        monkeypatch.setattr(kahler, "commute_type", lambda a, j, tol: kind)
+        instance = case3_instance(4, 1.0)
+        with pytest.raises(StructureViolation) as caught:
+            classify_kahler(instance["tensor"], instance["j"])
+        assert str(caught.value).startswith(wording)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # checked before any residual, so an exact model is not misreported
@@ -177,25 +194,15 @@ class TestClassifyKahler:
 class TestIdentityResiduals:
     def test_space_form_satisfies_identities(self):
         j = standard_complex_structure(6)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = random_unit(6, rng)
-            y = unit_orthogonal_to(x, rng)
-            res_one, res_two = identity_residuals(1.0, 1, j, j, x, y)
-            assert res_one < 1e-10
-            assert res_two < 1e-10
+        instance = {"kappa": 1.0, "tau": 1, "skew": j, "j": j}
+        assert kahler_identity_residual([instance], np.random.default_rng(0)) < 1e-10
 
     def test_case2_parameters_satisfy_identities(self):
         j = standard_complex_structure(4)
         w1 = Subspace.span([np.eye(4)[0], np.eye(4)[1]])
         a, _ = two_plane_operator(j, 2.0, 0.5, w1)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x = random_unit(4, rng)
-            y = unit_orthogonal_to(x, rng)
-            res_one, res_two = identity_residuals(1.0, 1, a, j, x, y)
-            assert res_one < 1e-10
-            assert res_two < 1e-10
+        instance = {"kappa": 1.0, "tau": 1, "skew": a, "j": j}
+        assert kahler_identity_residual([instance], np.random.default_rng(1)) < 1e-10
 
     def test_anticommuting_configuration_violates(self):
         j = standard_complex_structure(4)
@@ -229,16 +236,8 @@ class TestRelationsResiduals:
         assert res_three == pytest.approx(8.0, abs=1e-13)
 
     def test_classified_case2_eigenpairs(self):
-        instance = case2_instance(2)
-        result = classify_kahler(instance["tensor"], instance["j"])
-        assert isinstance(result, Case2)
-        e1 = result.w1.basis[:, 0]
-        e2 = result.w2.basis[:, 0]
-        res_three, res_four = relations_residuals(
-            result.kappa, result.tau, result.mu1, result.mu2, e1, e2, instance["j"]
-        )
-        assert res_three < 1e-10
-        assert res_four < 1e-10
+        # inf unless the instance classifies as case 2
+        assert relations_residual([case2_instance(2)]) < 1e-10
 
 
 class TestEinsteinCheck:

@@ -11,6 +11,7 @@ from curvlab.models import (
     case3_instance,
     case4_instance,
     planted_instance,
+    quaternion_instance,
     random_model,
 )
 
@@ -62,6 +63,9 @@ VIOLATIONS = {
         [(random_skew(4, 1), planted_instance(4, False, 2, 3, 30)[1])]),
     "sphere distribution decomposition": lambda: lm.structure_angle(
         [(block_diagonal_skew(6, [1.3]), np.eye(6)[5], TILTED_M / np.linalg.norm(TILTED_M), 0.7)]),
+    "Kahler compatibility identities": lambda: lm.kahler_identity_residual(
+        [quaternion_instance()], rng()),  # A anticommutes with J
+    "eigenvalue relations of B eigenpairs": lambda: lm.relations_residual([CONSTANT]),
 }
 
 

@@ -1,13 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from curvlab import (
+    CurvatureTensor,
+    InconsistentKappa,
     NonOrthonormalBasis,
     NonPositiveTolerance,
+    NotKahler,
+    NotOrthonormal,
+    NotSkew,
     OddDimension,
+    PreconditionViolated,
     Subspace,
+    SymmetryViolation,
+    almost_isotropy_scan,
+    build_r1,
+    classify_kahler,
+    load_tensor,
     random_skew,
     rank_with_tol,
     standard_complex_structure,
@@ -15,9 +28,15 @@ from curvlab import (
     unit_sphere_samples,
 )
 from curvlab.lemmas import projector_defect, spectrum_residual
-from curvlab.linalg import canonical_sign_columns
+from curvlab.linalg import (
+    canonical_sign_columns,
+    require_complex_structure,
+    require_orthonormal,
+    require_skew,
+)
+from curvlab.models import case3_instance
 
-from _oracles import oracle_canonical_sign_columns
+from _oracles import diagonal_plane_tensor, oracle_canonical_sign_columns
 
 
 def random_subspace(seed):
@@ -224,3 +243,57 @@ class TestSubspaceGeometry:
         w = Subspace.span([np.eye(3)[0], np.eye(3)[1]])
         assert w.contains(np.array([0.5, -0.25, 0.0]))
         assert not w.contains(np.array([0.0, 0.0, 1.0]))
+
+
+def broken_r1_file(path):
+    """R1 in dimension 3 with one entry raised by 0.5, which breaks antisymmetry only."""
+    comp = build_r1(3).components.copy()
+    comp[0, 1, 2, 1] += 0.5
+    path.write_text(json.dumps({
+        "schema_version": 1, "dim": 3, "components": comp.ravel().tolist(),
+        "basis": "orthonormal-standard", "convention": "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>",
+    }))
+    return path
+
+
+# clusters of size 2 at 1 and at 5 among curvatures up to 9: spread 4, threshold 9e-9
+SPLIT_KAPPA = CurvatureTensor(4, diagonal_plane_tensor(
+    4, {(0, 1): 1.0, (0, 2): 1.0, (0, 3): 9.0, (1, 2): 5.0, (1, 3): 5.0, (2, 3): 5.0}))
+
+
+def with_nan(matrix, index=(0, 1)):
+    """A float copy of ``matrix`` with one entry set to NaN."""
+    matrix = np.array(matrix, dtype=float)
+    matrix[index] = np.nan
+    return matrix
+
+
+class TestToleranceRejects:
+    """Every tolerance check fails on NaN and reports its measure and threshold."""
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: require_skew(with_nan(np.zeros((3, 3)))), NotSkew),
+        (lambda: require_complex_structure(with_nan(standard_complex_structure(4))),
+         PreconditionViolated),
+        (lambda: require_orthonormal(with_nan(np.eye(2))), NotOrthonormal),
+        (lambda: Subspace(3, with_nan(np.eye(3)[:, :2], (2, 1))), NonOrthonormalBasis),
+        (lambda: classify_kahler(case3_instance(4, 1.0)["tensor"],
+                                 with_nan(standard_complex_structure(4))), PreconditionViolated),
+    ], ids=["require_skew", "require_complex_structure", "require_orthonormal", "Subspace",
+            "classify_kahler"])
+    def test_nan_rejected(self, call, error):
+        with pytest.raises(error, match="nan exceeds"):
+            call()
+
+    @pytest.mark.parametrize("error, reject, text", [
+        (SymmetryViolation, lambda path: load_tensor(broken_r1_file(path)),
+         "antisymmetry identity fails with residual 5.000e-01 exceeds 1.000e-09"),
+        (NotKahler, lambda _: classify_kahler(build_r1(4), standard_complex_structure(4)),
+         "Kahler residual 1.000e+00 exceeds 1.000e-09"),
+        (InconsistentKappa, lambda _: almost_isotropy_scan(SPLIT_KAPPA, n_samples=4),
+         "per-sample constants disagree by 4.000e+00 exceeds 9.000e-09"),
+    ], ids=["SymmetryViolation", "NotKahler", "InconsistentKappa"])
+    def test_message_names_value_and_threshold(self, error, reject, text, tmp_path):
+        with pytest.raises(error) as caught:
+            reject(tmp_path / "broken.json")
+        assert text in str(caught.value)
