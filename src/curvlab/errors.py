@@ -68,7 +68,7 @@ class InconsistentTau(MathematicalRejection):
 
 
 class SignResolutionFailure(MathematicalRejection):
-    """No column sign assignment reproduces the tensor within tolerance."""
+    """The recovered (kappa, tau, A) does not reproduce the tensor within tolerance."""
 
 
 class NotKahler(MathematicalRejection):

@@ -3,10 +3,10 @@
 A tensor is almost isotropic with constant kappa when every Jacobi
 operator satisfies rank(J_s - kappa * Id on s-perp) <= 1.  For a model
 tensor the deviation (J_s - kappa * Id) / 3 equals tau (As)(As)^T, which
-is what :func:`recover_decomposition` exploits: it reads off each column
-of A up to sign from the deviations at basis vectors, then resolves the
-signs through skew symmetry and, across disconnected column blocks,
-through probes at mixed directions.
+is what :func:`recover_decomposition` exploits: it reads one anchor
+eigenpair plus polarized slices, taking one column of A from the largest
+deviation at a basis vector and every other column, with a consistent
+sign, from the tensor's slices polarized in that basis vector.
 """
 
 from __future__ import annotations
@@ -90,9 +90,12 @@ def _spectra_on_complement(r: CurvatureTensor, samples) -> tuple[np.ndarray, np.
     where the Frobenius norm would overflow (|J_s| above about 1e154).
     """
     samples = np.asarray(samples, dtype=float)
-    jac = jacobi_operator(r, samples)
-    shift = 1.0 + 2.0 * np.abs(jac).sum(axis=2).max(axis=1)
-    deflated = jac - shift[:, None, None] * (samples[:, :, None] * samples[:, None, :])
+    # near the float max the stack or the shift overflows to inf and eigh
+    # raises NumericalFailure; numpy's warnings on the way are not printed
+    with np.errstate(over="ignore", invalid="ignore"):
+        jac = jacobi_operator(r, samples)
+        shift = 1.0 + 2.0 * np.abs(jac).sum(axis=2).max(axis=1)
+        deflated = jac - shift[:, None, None] * (samples[:, :, None] * samples[:, None, :])
     eigenvalues, vectors = symmetric_spectrum(deflated)
     return eigenvalues[:, 1:], vectors[:, :, 1:]
 
@@ -225,12 +228,17 @@ def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL)
     return Subspace(r.dim, vectors[:, keep])
 
 
-def _column_candidates(eigenvalues, vectors, kappa, tol, scale):
-    """Per basis vector: tau sign and |A e_i| up to sign, from rank-one deviations.
+def _model_columns(r, eigenvalues, vectors, kappa, tol, scale):
+    """tau and the columns of A, up to one global sign, from one anchor column.
 
     Takes the spectra of J_{e_i} on e_i-perp, i = 1..d.  There the deviation
-    (J_{e_i} - kappa) / 3 is tau (A e_i)(A e_i)^T for a model, so its
-    largest eigenpair carries the column.
+    (J_{e_i} - kappa) / 3 is tau (A e_i)(A e_i)^T for a model.  At the basis
+    vector a with the largest deviation, its top eigenpair (top, u) gives
+    the anchor column A e_a = sqrt|top| u.  Polarizing J in e_a and e_b
+    gives the slice D_b = (R[., a, b, .] + R[., b, a, .] + kappa (e_a e_b^T
+    + e_b e_a^T)) / 3 = tau (A e_a (A e_b)^T + A e_b (A e_a)^T), so every
+    other column is A e_b = (D_b u - u (u . D_b u) / 2) / (tau sqrt|top|).
+    Columns are returned as rows: ``rows[b]`` is A e_b.
     """
     d = vectors.shape[1]
     deviations = (eigenvalues - kappa) / 3.0
@@ -243,69 +251,23 @@ def _column_candidates(eigenvalues, vectors, kappa, tol, scale):
             f"eigenvalue {ranked[bad[0], -2]:.3e} exceeds {tol * scale:.3e}"
         )
     top = ranked[:, -1]
-    present = np.abs(top) > tol * scale  # basis vectors in ker(A) give no column
-    columns = np.sqrt(np.abs(top) * present) * vectors[np.arange(d), :, order[:, -1]].T
-    np.fill_diagonal(columns, 0.0)  # A e_i is orthogonal to e_i for skew A
-    return columns, np.where(present, np.sign(top), 0.0)
-
-
-def _sign_components(columns: np.ndarray, nonzero: np.ndarray, theta: float):
-    """Connected components of columns linked by usable skew-symmetry overlaps.
-
-    Overlap between columns i and j fixes the relative sign via
-    <e_j, A e_i> = -<e_i, A e_j>; component-internal signs follow by BFS.
-    """
-    adjacency: dict[int, list[tuple[int, float]]] = {int(i): [] for i in nonzero}
-    for pos, i in enumerate(nonzero):
-        for j in nonzero[pos + 1:]:
-            if abs(columns[j, i]) > theta and abs(columns[i, j]) > theta:
-                relative = -1.0 if columns[j, i] * columns[i, j] > 0 else 1.0
-                adjacency[int(i)].append((int(j), relative))
-                adjacency[int(j)].append((int(i), relative))
-    eps = np.zeros(columns.shape[0])
-    components: list[list[int]] = []
-    for i in nonzero:
-        if eps[i] != 0.0:
-            continue
-        eps[i] = 1.0
-        component = [int(i)]
-        queue = [int(i)]
-        while queue:
-            node = queue.pop()
-            for neighbor, relative in adjacency[node]:
-                if eps[neighbor] == 0.0:
-                    eps[neighbor] = eps[node] * relative
-                    component.append(neighbor)
-                    queue.append(neighbor)
-        components.append(sorted(component))
-    return eps, components
-
-
-def _merge_components_by_probes(r, kappa, tau, columns, eps, components):
-    """Fix relative signs across column blocks with mixed-direction probes.
-
-    A probe at s = (e_i + e_j)/sqrt(2) compares the observed rank-one
-    deviation with tau (As)(As)^T for both relative sign choices; the
-    mixed terms differ, so exact data always discriminates.
-    """
-    norms = np.linalg.norm(columns, axis=0)
-    heads = [max(component, key=lambda idx: norms[idx]) for component in components]
-    # component k is probed from the largest column of components 0..k-1
-    anchors = [max(heads[:k], key=lambda idx: norms[idx]) for k in range(1, len(heads))]
-    eye = np.eye(columns.shape[0])
-    probes = (eye[anchors] + eye[heads[1:]]) / np.sqrt(2.0)
-    # (J_s - kappa * proj_{s-perp}) / 3; for models this is tau (As)(As)^T
-    ambient = eye - probes[:, :, None] * probes[:, None, :]
-    observed = (jacobi_operator(r, probes) - kappa * ambient) / 3.0
-    # eps[i] may have flipped in an earlier merge, so merge in order
-    for i, j, deviation, component in zip(anchors, heads[1:], observed, components[1:]):
-        residuals = []
-        for relative in (1.0, -1.0):
-            a_s = (eps[i] * columns[:, i] + relative * eps[j] * columns[:, j]) / np.sqrt(2.0)
-            residuals.append(float(np.max(np.abs(deviation - tau * np.outer(a_s, a_s)))))
-        if residuals[0] > residuals[1]:
-            eps[component] = -eps[component]
-    return eps
+    signs = np.sign(top[np.abs(top) > tol * scale])  # basis vectors in ker(A) give none
+    if signs.size == 0:
+        return 0, np.zeros((d, d))
+    if np.any(signs != signs[0]):
+        raise InconsistentTau("rank-one deviations carry both signs across basis vectors")
+    tau = int(signs[0])
+    a = int(np.argmax(np.abs(top)))
+    u = vectors[a, :, order[a, -1]].copy()
+    u[a] = 0.0  # A e_a is orthogonal to e_a for skew A
+    length = np.sqrt(abs(top[a]))
+    # row b is 3 D_b u before its kappa term; e_b e_a^T u is 0 since u[a] = 0
+    slices = np.tensordot(u, r.components[:, a] + r.components[:, :, a], axes=1)
+    slices[:, a] += kappa * u
+    slices /= 3.0
+    rows = (slices - np.outer(slices @ u / 2.0, u)) / (tau * length)
+    rows[a] = length * u
+    return tau, rows
 
 
 def recover_decomposition(
@@ -316,11 +278,11 @@ def recover_decomposition(
 ) -> Decomposition:
     """Invert the model form: find (kappa, tau, A) with R = kappa R1 + tau RA.
 
-    Steps: estimate kappa by sphere scan; extract each |A e_i| and the
-    shared sign tau from the rank-one Jacobi deviations at basis vectors;
-    resolve column signs by skew symmetry where columns overlap and by
-    mixed-direction probes across disjoint blocks; canonicalize the global
-    sign; verify the reconstruction residual.
+    Steps: estimate kappa by sphere scan; check the rank-one Jacobi
+    deviations at basis vectors and read the shared sign tau from them;
+    recover A from one anchor eigenpair plus polarized slices (see
+    ``_model_columns``); canonicalize the global sign; verify the
+    reconstruction residual.
 
     The basis-vector spectra come from the scan, whose samples start with
     e_1..e_d, and the residual is read one model slab at a time (see
@@ -338,26 +300,9 @@ def recover_decomposition(
     scale = max(1.0, r.max_abs)
     if report.samples_used < d:  # the scan's samples start with e_1..e_d
         spectra, vectors = _spectra_on_complement(r, np.eye(d))
-    columns, signs = _column_candidates(spectra[:d], vectors[:d], kappa, tol, scale)
-    nonzero = np.flatnonzero(signs)
-
-    if nonzero.size == 0:
-        tau = 0
-        skew = np.zeros((d, d))
-    else:
-        present = set(signs[nonzero])
-        if len(present) > 1:
-            raise InconsistentTau(
-                "rank-one deviations carry both signs across basis vectors"
-            )
-        tau = int(signs[nonzero[0]])
-        theta = np.sqrt(tol) * float(np.max(np.abs(columns)))
-        eps, components = _sign_components(columns, nonzero, theta)
-        if len(components) > 1:
-            eps = _merge_components_by_probes(r, kappa, tau, columns, eps, components)
-        raw = columns * eps[None, :]
-        skew = (raw - raw.T) / 2.0
-        skew = canonical_sign_matrix(skew, zero_tol=tol * scale_of(skew))
+    tau, rows = _model_columns(r, spectra[:d], vectors[:d], kappa, tol, scale)
+    skew = (rows.T - rows) / 2.0
+    skew = canonical_sign_matrix(skew, zero_tol=tol * scale_of(skew))
 
     # max |R - model| one model slab at a time, never building the model
     slab, scratch = np.empty((d,) * 3), np.empty((d,) * 3)

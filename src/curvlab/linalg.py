@@ -56,6 +56,13 @@ def require_within(value, threshold, error, what: str) -> None:
         raise error(f"{what} {value:.3e} exceeds {threshold:.3e}")
 
 
+def _require_finite(a: np.ndarray, error, what: str) -> None:
+    """Raise ``error`` on a NaN or inf entry of ``a``, before arithmetic can warn on it."""
+    if a.size:
+        require_within(float(np.max(np.abs(a))), np.finfo(float).max, error,
+                       f"{what} must be finite: largest entry")
+
+
 def scale_of(a) -> float:
     """max(1, largest absolute entry): the reference for relative tolerances."""
     arr = np.asarray(a, dtype=float)
@@ -78,6 +85,7 @@ def require_unit(v, tol: float = UNIT_TOL, name: str = "vector") -> np.ndarray:
 def require_orthonormal(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
     """Stack vectors as rows after checking their Gram matrix is the identity."""
     rows = np.asarray([np.asarray(v, dtype=float) for v in vectors])
+    _require_finite(rows, NotOrthonormal, "vectors")
     resid = float(np.max(np.abs(rows @ rows.T - np.eye(len(rows))))) if rows.size else 0.0
     require_within(resid, tol, NotOrthonormal, "vectors are not orthonormal: Gram residual")
     return rows
@@ -90,6 +98,7 @@ def require_skew(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
         raise NotSkew(f"{name} must be a square matrix, got shape {a.shape}")
     if a.size == 0:
         raise NotSkew(f"{name} must not be empty, got shape {a.shape}")
+    _require_finite(a, NotSkew, name)
     require_within(float(np.max(np.abs(a + a.T))), tol * scale_of(a), NotSkew,
                    f"{name} is not skew symmetric: residual")
     return a
@@ -100,6 +109,7 @@ def require_complex_structure(j, tol: float = 1e-12, dim: int | None = None) -> 
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
         raise PreconditionViolated(f"complex structure must be square, got shape {j.shape}")
+    _require_finite(j, PreconditionViolated, "complex structure")
     d = j.shape[0]
     if d % 2:
         raise OddDimension(f"complex structure needs even dimension, got {d}")

@@ -69,7 +69,7 @@ def seeded_model(index: int):
     """(tensor, kappa, tau, A) number ``index`` of a fixed list, d cycling through 4, 6, 8.
 
     ``A`` cycles through four kinds: dense, basis-disjoint rotation blocks
-    (sign resolution needs probes), blocks with a kernel, and dense with a
+    (no two blocks' columns overlap), blocks with a kernel, and dense with a
     kernel through basis-aligned coordinates.
     """
     rng = np.random.default_rng(1000 + index)
@@ -154,9 +154,10 @@ def quaternion_instance(kappa: float = 1.0, tau: int = 1) -> dict:
 def block_diagonal_skew(d: int, scales) -> np.ndarray:
     """Skew operator with 2x2 rotation blocks scaled by ``scales``, zero-padded.
 
-    Blocks touch disjoint basis pairs, so recovering the relative block
-    signs requires probing mixed directions; entries beyond the blocks
-    stay zero, giving a kernel when 2 * len(scales) < d.
+    Blocks touch disjoint basis pairs, so no two columns of different
+    blocks share a nonzero entry and recovery must take the relative block
+    signs from one anchor eigenpair plus polarized slices; entries beyond
+    the blocks stay zero, giving a kernel when 2 * len(scales) < d.
     """
     scales = list(scales)
     if 2 * len(scales) > d:

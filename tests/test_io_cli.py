@@ -29,7 +29,7 @@ from curvlab import (
 import curvlab.cli as cli
 import curvlab.io as cio
 from curvlab.io import load_matrix, render_json
-from curvlab.models import distribution_samples
+from curvlab.models import case2_instance, distribution_samples
 
 from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
 
@@ -652,6 +652,21 @@ class TestCliContract:
         assert result.returncode == 2
         assert "NumericalFailure" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("command, tensor", [
+        ("decompose", lambda: build_model(0.7, 1, random_skew(6, 1)).components * 1e306),
+        ("classify", lambda: case2_instance(0)["tensor"].components * 1e307),
+    ], ids=["decompose", "classify"])
+    def test_numerical_failure_prints_one_line(self, tmp_path, command, tensor):
+        # the Jacobi stack and its deflation shift overflow on the way to
+        # the failing eigensolve; no numpy warning may reach stderr
+        path = tmp_path / "near_max.json"
+        components = tensor()
+        save_tensor(CurvatureTensor(components.shape[0], components), path)
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("rejected (NumericalFailure): "), lines
 
     @pytest.mark.parametrize("dim", ["0", "-2"])
     def test_generate_dimension_below_two_exits_one(self, tmp_path, dim):

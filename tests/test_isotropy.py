@@ -288,11 +288,24 @@ class TestRecoverDecomposition:
         assert skew_match(decomposition.skew, 2.0 * base) < 1e-10
 
     def test_block_diagonal_disjoint_blocks(self):
-        # basis-disjoint blocks force the mixed-direction probes to run
-        for d, scales in ((4, [1.5, -0.8]), (6, [1.0, 2.0, 0.5]), (8, [1.2, 0.9])):
-            a = block_diagonal_skew(d, scales)
-            model = build_model(-1.0, 1, a)
-            decomposition = recover_decomposition(model)
+        # basis-disjoint blocks share no nonzero entry between columns, so
+        # every column sign comes from the anchor's polarized slices
+        rng = np.random.default_rng(14)
+        for d, scales in ((4, [1.5, -0.8]), (6, [1.0, 2.0, 0.5]), (8, [1.2, 0.9]),
+                          (7, [0.7, -1.3, 1.1]), (10, [0.5, 1.8, -0.9])):
+            perm = rng.permutation(d)
+            a = block_diagonal_skew(d, scales)[np.ix_(perm, perm)]
+            for tau in (-1, 1):
+                model = build_model(-1.0, tau, a)
+                decomposition = recover_decomposition(model)
+                assert decomposition.tau == tau
+                assert skew_match(decomposition.skew, a) < 1e-9
+                assert decomposition.residual < 1e-10
+        # a block far below tol * scale in |A e_b|^2 whose cross terms in R
+        # are not: its columns must still come out with the right sign
+        for d in (4, 8, 16):
+            a = block_diagonal_skew(d, [2.0] * (d // 2 - 1) + [1e-4])
+            decomposition = recover_decomposition(build_model(0.4, 1, a))
             assert skew_match(decomposition.skew, a) < 1e-9
             assert decomposition.residual < 1e-10
 
@@ -348,7 +361,7 @@ class TestRecoverDecomposition:
         # the deflation shift overflows near 1e306 / d; numpy's LinAlgError
         # must surface as a package error, not as a ValueError
         tensor = CurvatureTensor(6, build_model(0.7, 1, random_skew(6, 1)).components * 1e306)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+        with pytest.raises(NumericalFailure):
             recover_decomposition(tensor, 1e-9)
 
     def test_dimension_three_roundtrip(self):

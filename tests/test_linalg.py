@@ -19,6 +19,7 @@ from curvlab import (
     SymmetryViolation,
     almost_isotropy_scan,
     build_r1,
+    build_model,
     classify_kahler,
     load_tensor,
     random_skew,
@@ -283,6 +284,21 @@ class TestToleranceRejects:
             "classify_kahler"])
     def test_nan_rejected(self, call, error):
         with pytest.raises(error, match="nan exceeds"):
+            call()
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: require_skew(np.diag([np.inf, 0.0, 0.0])), NotSkew),
+        (lambda: require_skew([[0.0, np.inf], [-np.inf, 0.0]]), NotSkew),
+        (lambda: require_complex_structure([[0.0, np.inf], [-np.inf, 0.0]]),
+         PreconditionViolated),
+        (lambda: require_orthonormal([[np.inf, 0.0], [0.0, 1.0]]), NotOrthonormal),
+        (lambda: build_model(1.0, 1, np.diag([np.inf, 0.0, 0.0, 0.0])), NotSkew),
+    ], ids=["require_skew", "require_skew_both_signs", "require_complex_structure",
+            "require_orthonormal", "build_model"])
+    def test_inf_rejected(self, call, error):
+        # rejected before any arithmetic: inf <= inf would pass the residual
+        # check, and inf - inf would print a numpy warning
+        with pytest.raises(error, match="must be finite: largest entry inf exceeds"):
             call()
 
     @pytest.mark.parametrize("error, reject, text", [
