@@ -15,25 +15,12 @@ import numpy as np
 
 from curvlab import (
     DistributionSamples,
-    distribution_at,
     fit_skew_from_samples,
     random_skew,
     unit_sphere_samples,
 )
-from curvlab.models import block_diagonal_skew
-
-
-def line_angle(a, b):
-    cosine = abs(float(np.sum(a * b))) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return float(np.arccos(min(1.0, cosine)))
-
-
-def exact_samples(planted, d, count, seed):
-    entries = [
-        (s, distribution_at(planted, s).basis.T)
-        for s in unit_sphere_samples(d, count, seed)[d:]
-    ]
-    return DistributionSamples(d, entries)
+from curvlab.lemmas import line_angle
+from curvlab.models import block_diagonal_skew, distribution_samples
 
 
 def random_samples(d, count, seed):
@@ -68,7 +55,8 @@ def main() -> None:
         ):
             gaps, residuals, angles = [], [], []
             for seed in range(args.seeds):
-                fit = fit_skew_from_samples(exact_samples(planted, d, count, 100 + seed))
+                points = unit_sphere_samples(d, count, 100 + seed)[d:]
+                fit = fit_skew_from_samples(distribution_samples(planted, points))
                 gaps.append(fit.gap)
                 residuals.append(fit.residual)
                 angles.append(line_angle(fit.skew, planted))

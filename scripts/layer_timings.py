@@ -6,20 +6,21 @@ a rotated complex structure J (mu^2 = kappa, so ``classify_kahler`` reaches
 Case 3 through a full recovery) and sphere samples of the distribution of
 A, then times each stage on it.  A stage's time is the median of
 ``--repeats`` calls.  ``io.save_tensor_s`` writes the model to a file in a
-temporary directory, which ``io.load_tensor_s`` reads back.  Stages that
-the benchmark traces use its per-layer names from BENCHMARK.json; the
-Jacobi operators (one call at the scan's default 2d samples) and
-``nullity_space`` have no benchmark name and are reported as
+temporary directory, which ``io.load_tensor_s`` reads back;
+``io.load_samples_s`` reads back the samples that ``save_samples`` wrote
+there.  Stages that the benchmark traces use its per-layer names from
+BENCHMARK.json; the Jacobi operators (one call at the scan's default 2d
+samples) and ``nullity_space`` have no benchmark name and are reported as
 ``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.  The
 file I/O stages also run once under tracemalloc, and their peak traced
-memory is reported in MiB, so the memory claims for the tensor files come
-from the same harness as their times.  As in the benchmark, BLAS runs
-with one thread and the process is pinned to one CPU, which keeps the
-timings steady on a shared machine.
+memory is reported in MiB, so the memory claims for the tensor and sample
+files come from the same harness as their times.  As in the benchmark,
+BLAS runs with one thread and the process is pinned to one CPU, which
+keeps the timings steady on a shared machine.
 
 Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
 {d: median seconds}}, "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
-"io.load_tensor": {d: MiB}}}.  Run it as
+"io.load_tensor": {d: MiB}, "io.load_samples": {d: MiB}}}.  Run it as
 
     PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
 """
@@ -40,24 +41,25 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 from curvlab import (  # noqa: E402
-    DistributionSamples,
     almost_isotropy_scan,
     build_model,
     classify_kahler,
-    distribution_at,
     fit_skew_from_samples,
     jacobi_operator,
+    load_samples,
     load_tensor,
     nullity_space,
     recover_decomposition,
+    save_samples,
     save_tensor,
     standard_complex_structure,
     unit_sphere_samples,
     validate_symmetries,
 )
+from curvlab.models import distribution_samples  # noqa: E402
 
 KAPPA = 0.7
-TRACED_STAGES = ("io.save_tensor_s", "io.load_tensor_s")
+TRACED_STAGES = ("io.save_tensor_s", "io.load_tensor_s", "io.load_samples_s")
 
 
 def stages(d: int, directory: Path):
@@ -68,12 +70,15 @@ def stages(d: int, directory: Path):
     tensor = build_model(KAPPA, 1, a)
     directions = unit_sphere_samples(d, 2 * d, seed=1)
     points = unit_sphere_samples(d, d + 2 * d, seed=2)[d:]
-    samples = DistributionSamples(d, [(s, distribution_at(a, s).basis.T) for s in points])
+    samples = distribution_samples(a, points)
     path = directory / f"model-d{d}.json"
     save_tensor(tensor, path)
+    samples_path = directory / f"samples-d{d}.json"
+    save_samples(samples, samples_path)
     return [
         ("io.save_tensor_s", lambda: save_tensor(tensor, path)),
         ("io.load_tensor_s", lambda: load_tensor(path)),
+        ("io.load_samples_s", lambda: load_samples(samples_path)),
         ("curvature.build_model_s", lambda: build_model(KAPPA, 1, a)),
         ("curvature.validate_symmetries_s", lambda: validate_symmetries(tensor)),
         ("curvature.validate_symmetries_j_s", lambda: validate_symmetries(tensor, j)),

@@ -60,13 +60,6 @@ class CurvatureTensor:
             raise NonFiniteComponents("components must be finite (found NaN or inf)")
         object.__setattr__(self, "components", c)
 
-    @classmethod
-    def from_components(cls, components) -> "CurvatureTensor":
-        c = np.asarray(components, dtype=float)
-        if c.ndim != 4:
-            raise ValueError(f"components must be rank 4, got rank {c.ndim}")
-        return cls(c.shape[0], c)
-
     @property
     def max_abs(self) -> float:
         return _max_abs(self.components)

@@ -184,6 +184,7 @@ def rank_with_tol(mat, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol * max(1, largest singular value)``."""
     tol = require_tol(tol)
     mat = np.asarray(mat, dtype=float)
+    _require_finite(mat, PreconditionViolated, "matrix")
     singular = _lapack(np.linalg.svd, mat, compute_uv=False)
     if singular.size == 0:
         return 0
@@ -256,6 +257,7 @@ class Subspace:
             raise NonOrthonormalBasis(
                 f"basis must have shape ({self.dim}, k), got {b.shape}"
             )
+        _require_finite(b, NonOrthonormalBasis, "basis")
         if b.shape[1]:
             require_within(float(np.max(np.abs(b.T @ b - np.eye(b.shape[1])))), ORTHO_TOL,
                            NonOrthonormalBasis, "basis Gram matrix deviates from identity by")
@@ -281,6 +283,7 @@ class Subspace:
         d = mat.shape[0]
         if dim is not None and dim != d:
             raise ValueError(f"vectors have length {d}, expected {dim}")
+        _require_finite(mat, PreconditionViolated, "vectors")
         u, singular, _ = _lapack(np.linalg.svd, mat, full_matrices=False)
         top = float(singular[0]) if singular.size else 0.0
         rank = int(np.sum(singular > tol * max(top, 1e-300)))

@@ -6,7 +6,9 @@ field, so every great circle is either everywhere or nowhere tangent to
 D[A].  This module evaluates the distribution, tests tangency along great
 circles, reconstructs the projective class [A] from sampled tangent data
 by constrained least squares, and verifies the three-part decomposition of
-D[A] at points mixing kernel and non-kernel directions.
+D[A] at points mixing kernel and non-kernel directions.  Sampled tangent
+data is checked one entry at a time, so a rejection names the first fault
+of the first faulty entry.
 """
 
 from __future__ import annotations
@@ -34,54 +36,21 @@ _SAMPLE_TOL = 1e-10
 _FIT_BLOCK = 64
 
 
-def _split(array: np.ndarray, offsets: list[int]) -> list[np.ndarray]:
-    """Views of array[offsets[e]:offsets[e + 1]], one per entry e."""
-    return [array[start:stop] for start, stop in zip(offsets, offsets[1:])]
-
-
-def _stack(arrays, empty: np.ndarray):
-    """The arrays end to end, where each starts (then the total), and each row's array.
-
-    ``empty`` gives the shape of the result when there are no arrays.
-    """
-    offsets = np.cumsum([0, *map(len, arrays)]).tolist()
-    owner = np.repeat(np.arange(len(arrays)), np.diff(offsets))
-    return np.concatenate([empty, *arrays]), offsets, owner
-
-
-def _entries_with(flags, owner, count: int) -> np.ndarray:
-    """Per entry: does one of its rows carry a flag?"""
-    return np.bincount(owner, weights=flags, minlength=count) > 0
-
-
-def _raise_first(checks) -> None:
-    """Raise the fault that checking the entries one at a time would meet first.
-
-    ``checks`` pairs a boolean array over entries (True where the entry
-    fails) with its message, in the order the checks run within one entry.
-    """
-    found = [(int(np.argmax(bad)), rank) for rank, (bad, _) in enumerate(checks) if np.any(bad)]
-    if found:
-        raise ValueError(checks[min(found)[1]][1])
-
-
-def _normalized(points, blocks, dim: int) -> list:
-    """Entries rescaled to unit base points and unit tangents; zero vectors are rejected.
-
-    Base points keep their shapes; any shape other than (dim,) is left for
-    the constructor to reject, after the zero checks of every entry.
-    """
-    flat, flat_offsets, flat_owner = _stack([s.ravel() for s in points], np.zeros(0))
-    base = np.sqrt(np.bincount(flat_owner, weights=flat * flat, minlength=len(points)))
-    rows, offsets, owner = _stack(blocks, np.zeros((0, dim)))
-    row_norms = np.linalg.norm(rows, axis=1)
-    _raise_first([
-        (base == 0, "base point must be nonzero"),
-        (_entries_with(row_norms == 0, owner, len(blocks)), "tangent vectors must be nonzero"),
-    ])
-    flat = _split(flat / base[flat_owner], flat_offsets)
-    rows = _split(rows / row_norms[:, None], offsets)
-    return [(f.reshape(s.shape), t) for f, s, t in zip(flat, points, rows)]
+def _entry(dim: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
+    """One entry as float arrays, checked in order: shape, finite, unit, orthogonal."""
+    s = np.asarray(s, dtype=float)
+    tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+    if s.shape != (dim,):
+        raise ValueError(f"base point has shape {s.shape}, expected ({dim},)")
+    if not (np.isfinite(s).all() and np.isfinite(tangents).all()):
+        raise ValueError("sample data must be finite")
+    if abs(np.linalg.norm(s, axis=0) - 1.0) > _SAMPLE_TOL:
+        raise ValueError("base point is not a unit vector")
+    if np.any(np.abs(np.linalg.norm(tangents, axis=1) - 1.0) > _SAMPLE_TOL):
+        raise ValueError("tangent vectors must be normalized")
+    if np.any(np.abs(np.einsum("ij,j->i", tangents, s)) > _SAMPLE_TOL):
+        raise ValueError("tangent vectors must be orthogonal to the base point")
+    return s, tangents
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +58,11 @@ class DistributionSamples:
     """Sampled tangent data: pairs of a unit base point and tangent vectors.
 
     Each entry is ``(s, tangents)`` with s a unit vector and tangents a
-    (k, dim) array of unit rows orthogonal to s; k may be zero.  The data is
-    held stacked: base points as the rows of one (P, dim) array, and every
-    tangent, entry after entry, as the rows of one (N, dim) array; each entry
-    is a pair of views into them.  Each check runs once over all rows, and a
-    rejection reports the fault that checking the entries in order would
-    meet first.
+    (k, dim) array of unit rows orthogonal to s; k may be zero.  Entries are
+    checked in order, and a rejection reports the first fault of the first
+    faulty entry.  The data is held stacked: base points as the rows of one
+    (P, dim) array, and every tangent, entry after entry, as the rows of one
+    (N, dim) array; each entry is a pair of views into them.
     """
 
     dim: int
@@ -104,56 +72,36 @@ class DistributionSamples:
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        dim = self.dim
-        points, blocks = [], []
-        try:
-            for s, tangents in self.entries:
-                s = np.asarray(s, dtype=float)
-                tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
-                if s.shape != (dim,):
-                    raise ValueError(f"base point has shape {s.shape}, expected ({dim},)")
-                points.append(s)
-                blocks.append(tangents)
-        except (TypeError, ValueError):
-            self._check(points, blocks)  # a fault in an earlier entry comes first
-            raise
-        points, rows, offsets = self._check(points, blocks)
-        object.__setattr__(self, "entries", list(zip(points, _split(rows, offsets))))
+        entries = [_entry(self.dim, s, tangents) for s, tangents in self.entries]
+        points = np.array([s for s, _ in entries]).reshape(-1, self.dim)
+        rows = np.concatenate([np.zeros((0, self.dim)), *(t for _, t in entries)])
+        offsets = np.cumsum([0, *(len(t) for _, t in entries)])
+        object.__setattr__(self, "entries", [
+            (s, rows[start:stop]) for s, start, stop in zip(points, offsets, offsets[1:])])
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_offsets", np.array(offsets))
-
-    def _check(self, points, blocks):
-        """Stack the converted entries and check them: one norm and one dot per row."""
-        points = np.array(points).reshape(-1, self.dim)
-        rows, offsets, owner = _stack(blocks, np.zeros((0, self.dim)))
-        count = len(blocks)
-        overlaps = np.einsum("ij,ij->i", rows, points[owner])
-        _raise_first([
-            (~np.isfinite(points).all(axis=1)
-             | _entries_with(~np.isfinite(rows).all(axis=1), owner, count),
-             "sample data must be finite"),
-            (np.abs(np.linalg.norm(points, axis=1) - 1.0) > _SAMPLE_TOL,
-             "base point is not a unit vector"),
-            (_entries_with(np.abs(np.linalg.norm(rows, axis=1) - 1.0) > _SAMPLE_TOL, owner, count),
-             "tangent vectors must be normalized"),
-            (_entries_with(np.abs(overlaps) > _SAMPLE_TOL, owner, count),
-             "tangent vectors must be orthogonal to the base point"),
-        ])
-        return points, rows, offsets
+        object.__setattr__(self, "_offsets", offsets)
 
     @classmethod
     def from_raw(cls, dim: int, entries) -> "DistributionSamples":
-        """Build from unnormalized data, rescaling base points and tangents."""
-        points, blocks = [], []
-        try:
-            for s, tangents in entries:
-                points.append(np.asarray(s, dtype=float))
-                blocks.append(np.asarray(tangents, dtype=float).reshape(-1, dim))
-        except (TypeError, ValueError):
-            _normalized(points, blocks, dim)  # a zero vector in an earlier entry comes first
-            raise
-        return cls(dim, _normalized(points, blocks, dim))
+        """Build from unnormalized data, rescaling base points and tangents.
+
+        Zero vectors are rejected in every entry before the constructor checks any.
+        """
+        scaled = []
+        for s, tangents in entries:
+            s = np.asarray(s, dtype=float)
+            # squares summed left to right: np.linalg.norm rounds differently and moves the fit
+            norm = np.sqrt(np.cumsum(np.append(0.0, s * s))[-1])
+            if norm == 0:
+                raise ValueError("base point must be nonzero")
+            tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+            norms = np.linalg.norm(tangents, axis=1)
+            if np.any(norms == 0):
+                raise ValueError("tangent vectors must be nonzero")
+            with np.errstate(invalid="ignore"):  # inf / inf is NaN, which the constructor rejects
+                scaled.append((s / norm, tangents / norms[:, None]))
+        return cls(dim, scaled)
 
     @property
     def tangent_count(self) -> int:

@@ -280,8 +280,10 @@ class TestToleranceRejects:
         (lambda: Subspace(3, with_nan(np.eye(3)[:, :2], (2, 1))), NonOrthonormalBasis),
         (lambda: classify_kahler(case3_instance(4, 1.0)["tensor"],
                                  with_nan(standard_complex_structure(4))), PreconditionViolated),
+        (lambda: rank_with_tol(with_nan(np.eye(2))), PreconditionViolated),
+        (lambda: Subspace.span(with_nan(np.eye(2))), PreconditionViolated),
     ], ids=["require_skew", "require_complex_structure", "require_orthonormal", "Subspace",
-            "classify_kahler"])
+            "classify_kahler", "rank_with_tol", "Subspace.span"])
     def test_nan_rejected(self, call, error):
         with pytest.raises(error, match="nan exceeds"):
             call()
@@ -293,8 +295,11 @@ class TestToleranceRejects:
          PreconditionViolated),
         (lambda: require_orthonormal([[np.inf, 0.0], [0.0, 1.0]]), NotOrthonormal),
         (lambda: build_model(1.0, 1, np.diag([np.inf, 0.0, 0.0, 0.0])), NotSkew),
+        (lambda: Subspace(2, np.array([[np.inf, 0.0], [0.0, 1.0]])), NonOrthonormalBasis),
+        (lambda: rank_with_tol([[np.inf, 0.0], [0.0, 1.0]]), PreconditionViolated),
+        (lambda: Subspace.span([[np.inf, 0.0]]), PreconditionViolated),
     ], ids=["require_skew", "require_skew_both_signs", "require_complex_structure",
-            "require_orthonormal", "build_model"])
+            "require_orthonormal", "build_model", "Subspace", "rank_with_tol", "Subspace.span"])
     def test_inf_rejected(self, call, error):
         # rejected before any arithmetic: inf <= inf would pass the residual
         # check, and inf - inf would print a numpy warning

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
@@ -79,6 +79,60 @@ def with_fault(index, s=None, tangents=None):
     old_s, old_tangents = entries[index]
     entries[index] = (old_s if s is None else s, old_tangents if tangents is None else tangents)
     return entries
+
+
+#: The constructor's messages in the order it checks one entry.
+CHECK_ORDER = [
+    "base point has shape (4,), expected (3,)",
+    "sample data must be finite",
+    "base point is not a unit vector",
+    "tangent vectors must be normalized",
+    "tangent vectors must be orthogonal to the base point",
+]
+
+#: Faults planted in a base point s, or in one tangent row from s and a unit u
+#: orthogonal to it: (make, the constructor's check it fails, from_raw's zero
+#: message, the constructor's check it fails after from_raw rescales it).
+POINT_FAULTS = {
+    "none": (lambda s: s, None, None, None),
+    "shape": (lambda s: [*s, 0.0], 0, None, 0),
+    "nan": (lambda s: s * np.nan, 1, None, 1),
+    "long": (lambda s: 2.0 * s, 2, None, None),
+    "zero": (lambda s: 0.0 * s, 2, "base point must be nonzero", None),
+}
+TANGENT_FAULTS = {
+    "none": (None, None, None, None),
+    "inf": (lambda s, u: np.where(u != 0, np.inf, 0.0), 1, None, 1),
+    "long": (lambda s, u: 2.0 * u, 3, None, None),
+    "zero": (lambda s, u: 0.0 * u, 3, "tangent vectors must be nonzero", None),
+    "oblique": (lambda s, u: s, 4, None, 4),
+}
+
+planted_entries = st.lists(
+    st.tuples(st.one_of(st.just("none"), st.sampled_from(sorted(POINT_FAULTS))),
+              st.one_of(st.just("none"), st.sampled_from(sorted(TANGENT_FAULTS))),
+              st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=6,
+)
+
+
+def message_of(build, entries):
+    """The message of the ValueError that build(3, entries) raises, or None."""
+    try:
+        build(3, entries)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def first_message(messages):
+    return next((message for message in messages if message is not None), None)
+
+
+def first_check(*checks):
+    """The message of the check in CHECK_ORDER that comes first among checks, or None."""
+    failed = [check for check in checks if check is not None]
+    return CHECK_ORDER[min(failed)] if failed else None
 
 
 class TestDistributionAt:
@@ -401,6 +455,26 @@ class TestDistributionSamplesValidation:
         with pytest.raises(ValueError) as caught:
             build(3, entries)
         assert str(caught.value) == message
+
+    @settings(max_examples=200)
+    @given(planted_entries)
+    def test_first_faulty_entry_decides(self, plan):
+        # within an entry the first check in CHECK_ORDER decides; from_raw
+        # rejects a zero vector in any entry before the constructor checks one
+        entries, made, zeros, raw = [], [], [], []
+        for point_fault, tangent_fault, axis, count in plan:
+            s = np.eye(3)[axis]
+            others = [np.eye(3)[(axis + step) % 3] for step in (1, 2)]
+            make_point, *point = POINT_FAULTS[point_fault]
+            make_row, *row = TANGENT_FAULTS[tangent_fault]
+            tangents = others[:count] + ([make_row(s, others[0])] if make_row else [])
+            entries.append((make_point(s), tangents))
+            made.append(first_check(point[0], row[0]))
+            zeros.append(point[1] or row[1])
+            raw.append(first_check(point[2], row[2]))
+        assert message_of(DistributionSamples, entries) == first_message(made)
+        assert (message_of(DistributionSamples.from_raw, entries)
+                == (first_message(zeros) or first_message(raw)))
 
 
 class TestLoadSamplesRejections:
