@@ -11,9 +11,12 @@ the Kahler screen.
 import argparse
 import pathlib
 
+import numpy as np
+
 from curvlab import (
     NotKahler,
     almost_isotropy_scan,
+    build_model,
     build_r1,
     classify_kahler,
     save_tensor,
@@ -23,7 +26,10 @@ from curvlab.models import (
     case2_instance,
     case3_instance,
     case4_instance,
+    holomorphic_plane,
     quaternion_instance,
+    random_unit,
+    two_plane_operator,
 )
 
 
@@ -54,18 +60,24 @@ def main() -> None:
     ]
     instance = case2_instance(args.seed)
     gallery.append(("two-plane", instance["tensor"], instance["j"]))
+    # mu1 - mu2 = 1e-8: ten times the Case 2 / Case 3 boundary of the default tolerance
+    j = standard_complex_structure(4)
+    w1 = holomorphic_plane(j, random_unit(4, np.random.default_rng(args.seed)))
+    mu1, mu2 = 1.0 + 1e-8, 1.0
+    a, _ = two_plane_operator(j, mu1, mu2, w1)
+    gallery.append(("two-plane-near", build_model(mu1 * mu2, 1, a), j))
     instance = case3_instance(6, -1.0)
     gallery.append(("space-form", instance["tensor"], instance["j"]))
     instance = case4_instance(6, 2.0, seed=args.seed)
     gallery.append(("flat-plane", instance["tensor"], instance["j"]))
 
-    print(f"{'name':<12} {'scan kappa':>12}  classification")
+    print(f"{'name':<14} {'scan kappa':>12}  classification")
     for name, tensor, j in gallery:
         path = out / f"{name}.json"
         save_tensor(tensor, path)
         scan = almost_isotropy_scan(tensor)
         result = classify_kahler(tensor, j)
-        print(f"{name:<12} {scan.kappa:>12.6g}  {describe(result)}")
+        print(f"{name:<14} {scan.kappa:>12.6g}  {describe(result)}")
 
     quaternion = quaternion_instance()
     path = out / "quaternion.json"
@@ -76,7 +88,7 @@ def main() -> None:
         verdict = "unexpectedly accepted"
     except NotKahler as exc:
         verdict = f"rejected ({exc})"
-    print(f"{'quaternion':<12} {scan.kappa:>12.6g}  {verdict}")
+    print(f"{'quaternion':<14} {scan.kappa:>12.6g}  {verdict}")
     print(f"\ntensor files written to {out}/")
 
 

@@ -426,7 +426,7 @@ def load_samples(path) -> DistributionSamples:
     try:
         return DistributionSamples.from_raw(dim, entries)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: entry {exc.index}: {exc}") from exc
 
 
 def load_matrix(path, expected_dim: int | None = None) -> np.ndarray:

@@ -10,8 +10,10 @@ Kahler almost isotropic tensors fall into exactly four families:
 
 The classifier recomputes everything from the tensor itself, so it doubles
 as a validator for hand-built inputs: any failed consequence (B = AJ not
-commuting with J, eigenplanes not J-invariant, broken eigenvalue product)
-raises ``StructureViolation``.
+commuting with J, A not J times its weighted eigenplane projections, a
+broken eigenvalue product, too many eigenvalue clusters) raises
+``StructureViolation``.  The eigenplanes come from one Hermitian solve of
+B on (R^d, J) = C^(d/2), so they are J-invariant by construction.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ from .isotropy import recover_decomposition
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
+    _lapack,
     require_complex_structure,
     require_orthonormal,
     require_skew,
     require_tol,
     require_within,
     scale_of,
-    symmetric_spectrum,
 )
 
 
@@ -92,10 +94,12 @@ KahlerClass = Case1 | Case2 | Case3 | Case4
 class BAnalysis:
     """Spectral data of B = A J.
 
-    When A and J commute, B is symmetric and its eigenspaces are
-    J-invariant; ``eigenvalues`` then lists one value per clustered
-    eigenspace and ``eigenplanes`` the corresponding subspaces.  For the
-    anticommuting or mixed cases the spectral fields stay empty.
+    When A and J commute, B is a Hermitian operator on (R^d, J) =
+    C^(d/2) and is diagonalized as one; ``eigenvalues`` then lists one
+    value per cluster of its d/2 eigenvalues, ascending, and
+    ``eigenplanes`` the real span of each cluster's eigenvectors, which is
+    J-invariant by construction.  For the anticommuting or mixed cases the
+    spectral fields stay empty.
     """
 
     b: np.ndarray
@@ -118,19 +122,16 @@ def commute_type(a, j, tol: float = DEFAULT_TOL) -> str:
     return "neither"
 
 
-def _cluster_sorted(values: np.ndarray, width: float) -> list[np.ndarray]:
-    """Index groups of sorted values split where consecutive gaps exceed width."""
-    groups: list[np.ndarray] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > width:
-            groups.append(np.arange(start, i))
-            start = i
-    return groups
-
-
 def analyze_b_operator(a, j, tol: float = DEFAULT_TOL) -> BAnalysis:
-    """Commutation type and (when commuting) clustered eigenplanes of B = AJ."""
+    """Commutation type and (when commuting) clustered eigenplanes of B = AJ.
+
+    B is diagonalized once as a Hermitian operator on (R^d, J) = C^(d/2):
+    the columns of V span the +1 eigenspace of iJ, ``eigh`` solves the
+    (d/2) x (d/2) matrix V^H B V, and each eigenvector z = V y gives the
+    real plane spanned by sqrt(2) Re z and sqrt(2) Im z = J sqrt(2) Re z.
+    Eigenvalues no more than tol * max(1, max|B|) above their neighbour
+    share a cluster.
+    """
     a = require_skew(a)
     j = require_complex_structure(j, dim=len(a))
     b = a @ j
@@ -138,18 +139,14 @@ def analyze_b_operator(a, j, tol: float = DEFAULT_TOL) -> BAnalysis:
     eigenvalues: list[float] = []
     eigenplanes: list[Subspace] = []
     if kind == "commute":
-        spectrum, vectors = symmetric_spectrum(b)
-        width = tol * max(1.0, float(np.max(np.abs(spectrum))))
-        for group in _cluster_sorted(spectrum, width):
+        frame = _lapack(np.linalg.eigh, 1j * j)[1][:, len(j) // 2:]
+        spectrum, vectors = _lapack(np.linalg.eigh, frame.conj().T @ b @ frame)
+        z = np.sqrt(2.0) * (frame @ vectors)
+        gaps = np.flatnonzero(np.diff(spectrum) > tol * scale_of(b))
+        for group in np.split(np.arange(len(spectrum)), gaps + 1):
             eigenvalues.append(float(np.mean(spectrum[group])))
-            eigenplanes.append(Subspace(b.shape[0], vectors[:, group]))
+            eigenplanes.append(Subspace(len(b), np.hstack([z[:, group].real, z[:, group].imag])))
     return BAnalysis(b=b, commute_type=kind, eigenvalues=eigenvalues, eigenplanes=eigenplanes)
-
-
-def _require_j_invariant(plane: Subspace, j: np.ndarray, tol: float):
-    p = plane.projector()
-    require_within(float(np.max(np.abs((np.eye(plane.dim) - p) @ j @ p))), tol,
-                   StructureViolation, "eigenplane of B is not J-invariant: residual")
 
 
 def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerClass:
@@ -194,53 +191,34 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
                     "neither": "neither commutes nor anticommutes"}[analysis.commute_type]
         raise StructureViolation(f"recovered skew operator {relation} with J; "
                                  "a Kahler almost isotropic tensor requires AJ = JA")
-    b = analysis.b
-    scale_b = scale_of(b)
-    groups = list(zip(analysis.eigenvalues, analysis.eigenplanes))
+    # B = AJ = -mu on the k-th cluster's plane, so A = J sum_k mu_k P_k
+    mus = [-value for value in analysis.eigenvalues]
+    planes = analysis.eigenplanes
+    structure = j @ sum(mu * plane.projector() for mu, plane in zip(mus, planes))
+    require_within(float(np.max(np.abs(a - structure))), tol * scale_of(a), StructureViolation,
+                   "skew operator is not J composed with weighted plane projections: residual")
 
     if abs(kappa) <= tol * scale:
         # flat case: A = mu * J P_W for a single holomorphic plane W
-        nonzero = [(value, plane) for value, plane in groups if abs(value) > tol * scale_b]
+        nonzero = [(mu, plane) for mu, plane in zip(mus, planes)
+                   if abs(mu) > tol * scale_of(analysis.b)]
         if len(nonzero) != 1 or nonzero[0][1].dimension != 2:
             raise StructureViolation("flat case requires exactly one 2-dimensional nonzero "
                                      "eigenplane of B")
-        mu, plane = -nonzero[0][0], nonzero[0][1]
-        _require_j_invariant(plane, j, tol * scale_b)
-        require_within(float(np.max(np.abs(a - j @ (mu * plane.projector())))), tol * scale_of(a),
-                       StructureViolation,
-                       "skew operator is not J composed with a plane projection: residual")
+        mu, plane = nonzero[0]
         return Case4(c=float(tau * mu * mu), w=plane)
 
+    if len(mus) > (2 if d == 4 else 1):
+        raise StructureViolation(f"B has {len(mus)} eigenvalue clusters in dimension {d}; "
+                                 "a Kahler almost isotropic tensor has one, or two in dimension 4")
     ratio = kappa / tau
-    ratio_tol = tol * max(1.0, abs(ratio))
-    # Case 3: B is a multiple of the identity in dimension >= 6, and may be in dimension 4
-    if d >= 6:
-        mu = float(np.trace(b)) / d
-        require_within(float(np.max(np.abs(b - mu * np.eye(d)))), tol * scale_b,
-                       StructureViolation,
-                       "B = AJ must be a multiple of the identity in dimension >= 6: residual")
-    elif len(groups) == 1:
-        mu = groups[0][0]  # B's eigenvalue is -mu, and only mu^2 is checked
-    if d >= 6 or len(groups) == 1:
-        require_within(abs(mu * mu - ratio), ratio_tol, StructureViolation,
-                       "eigenvalue of B fails mu^2 = kappa/tau: residual")
+    product = mus[0] * mus[-1]
+    require_within(abs(product - ratio), tol * max(1.0, abs(ratio)), StructureViolation,
+                   f"eigenvalue product {product:.6g} fails mu_first mu_last = kappa/tau = "
+                   f"{ratio:.6g}: residual")
+    if len(mus) == 1:
         return Case3(kappa=kappa)
-
-    # d == 4 with kappa != 0 and two eigenvalues of B
-    if len(groups) != 2 or any(plane.dimension != 2 for _, plane in groups):
-        raise StructureViolation("B must have one or two J-invariant eigenplanes in dimension 4")
-    (beta1, plane1), (beta2, plane2) = groups
-    mu1, mu2 = -beta1, -beta2
-    for plane in (plane1, plane2):
-        _require_j_invariant(plane, j, tol * scale_b)
-    require_within(abs(mu1 * mu2 - ratio), ratio_tol, StructureViolation,
-                   f"eigenvalue product {mu1 * mu2:.6g} fails mu1 mu2 = kappa/tau = {ratio:.6g}: "
-                   "residual")
-    structure = j @ (mu1 * plane1.projector() + mu2 * plane2.projector())
-    require_within(float(np.max(np.abs(a - structure))), tol * scale_of(a), StructureViolation,
-                   "skew operator is not J composed with weighted plane projections: residual")
-    if abs(mu1 - mu2) <= tol * scale_b:
-        return Case3(kappa=kappa)
+    (mu1, mu2), (plane1, plane2) = mus, planes
     # the tensor fixes the pair only up to joint negation: report mu1 >= mu2, mu1 + mu2 >= 0
     if mu1 + mu2 < 0:
         mu1, mu2 = -mu1, -mu2

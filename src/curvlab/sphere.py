@@ -53,6 +53,23 @@ def _entry(dim: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
     return s, tangents
 
 
+def _each_entry(entries, check) -> list:
+    """``check(s, tangents)`` of each entry in order; a ValueError gets the entry's ``index``."""
+    results = []
+    for index, (s, tangents) in enumerate(entries):
+        try:
+            results.append(check(s, tangents))
+        except ValueError as exc:
+            exc.index = index
+            raise
+    return results
+
+
+def _binade_scaled(v: np.ndarray) -> np.ndarray:
+    """Each row of v times the power of two that puts its largest entry in [0.5, 1)."""
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=-1, keepdims=True, initial=0.0))[1])
+
+
 @dataclass(frozen=True, eq=False)
 class DistributionSamples:
     """Sampled tangent data: pairs of a unit base point and tangent vectors.
@@ -72,7 +89,7 @@ class DistributionSamples:
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = [_entry(self.dim, s, tangents) for s, tangents in self.entries]
+        entries = _each_entry(self.entries, lambda s, tangents: _entry(self.dim, s, tangents))
         points = np.array([s for s, _ in entries]).reshape(-1, self.dim)
         rows = np.concatenate([np.zeros((0, self.dim)), *(t for _, t in entries)])
         offsets = np.cumsum([0, *(len(t) for _, t in entries)])
@@ -88,20 +105,21 @@ class DistributionSamples:
 
         Zero vectors are rejected in every entry before the constructor checks any.
         """
-        scaled = []
-        for s, tangents in entries:
-            s = np.asarray(s, dtype=float)
+        def normalized(s, tangents):
+            # rescaled by a power of two, the squares stay in range; the quotients are unchanged
+            s = _binade_scaled(np.asarray(s, dtype=float))
             # squares summed left to right: np.linalg.norm rounds differently and moves the fit
             norm = np.sqrt(np.cumsum(np.append(0.0, s * s))[-1])
             if norm == 0:
                 raise ValueError("base point must be nonzero")
-            tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+            tangents = _binade_scaled(np.asarray(tangents, dtype=float).reshape(-1, dim))
             norms = np.linalg.norm(tangents, axis=1)
             if np.any(norms == 0):
                 raise ValueError("tangent vectors must be nonzero")
             with np.errstate(invalid="ignore"):  # inf / inf is NaN, which the constructor rejects
-                scaled.append((s / norm, tangents / norms[:, None]))
-        return cls(dim, scaled)
+                return s / norm, tangents / norms[:, None]
+
+        return cls(dim, _each_entry(entries, normalized))
 
     @property
     def tangent_count(self) -> int:

@@ -454,6 +454,21 @@ class TestSamplesFiles:
         with pytest.raises(ParseError):
             load_samples(path)
 
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+    def test_cli_fits_vectors_far_from_unit_length(self, tmp_path, magnitude):
+        # the sums of squares neither overflow nor underflow, and the fit is the unit-scale one
+        fits = []
+        for name, size in (("unit", 1.0), ("far", magnitude)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"schema_version": 1, "dim": 3, "entries": [
+                {"s": [size, 0.0, 0.0], "tangents": [[0.0, size, 0.0]]},
+                {"s": [0.0, 0.0, size], "tangents": [[0.0, size, 0.0]]}]}))
+            result = run_cli("fit-distribution", str(path), "--format", "json",
+                             env={"PYTHONWARNINGS": "error::RuntimeWarning"})
+            assert result.returncode == 0, result.stderr
+            fits.append(json.loads(result.stdout)["results"])
+        assert fits[0] == fits[1]
+
 
 def _tensor_payload(components, dim):
     return {

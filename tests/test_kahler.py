@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from curvlab import (
+    DEFAULT_TOL,
     Case1,
     Case2,
     Case3,
@@ -40,9 +41,11 @@ from curvlab.models import (
     case2_instance,
     case3_instance,
     case4_instance,
+    holomorphic_plane,
     plane_operator,
     quaternion_instance,
     quaternion_j,
+    random_unit,
     two_plane_operator,
 )
 
@@ -189,6 +192,43 @@ class TestClassifyKahler:
             assert result.w1.angle_to(w1) < 1e-6
             assert result.w2.angle_to(w2) < 1e-6
             assert mu_product_deviation([instance]) < 1e-8
+
+
+    @given(mu2=st.floats(0.3, 2.5), mu_sign=st.sampled_from([-1.0, 1.0]),
+           tau=st.sampled_from([-1, 1]), log_gap=st.floats(-1.0, 4.0),
+           gap_sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2_000))
+    def test_case2_case3_boundary_never_rejected(self, mu2, mu_sign, tau, log_gap, gap_sign, seed):
+        # |mu1 - mu2| from 0.1 tol to 1e4 tol: one side is Case 3, the other Case 2
+        j = standard_complex_structure(4)
+        mu2 *= mu_sign
+        mu1 = mu2 + gap_sign * 10.0**log_gap * DEFAULT_TOL
+        w1 = holomorphic_plane(j, random_unit(4, np.random.default_rng(seed)))
+        a, _ = two_plane_operator(j, mu1, mu2, w1)
+        result = classify_kahler(build_model(tau * mu1 * mu2, tau, a), j)
+        assert isinstance(result, (Case2, Case3))
+        if isinstance(result, Case2):
+            for p in (result.w1.projector(), result.w2.projector()):
+                assert np.max(np.abs((np.eye(4) - p) @ j @ p)) < 1e-13
+
+    @given(seed=st.integers(0, 2_000), case=st.sampled_from([2, 3, 4]))
+    def test_classification_commutes_with_rotation(self, seed, case):
+        # classify(Q.R, Q J Q^T) is classify(R, J) with every plane carried by Q
+        rng = np.random.default_rng(seed)
+        magnitude = float(rng.uniform(0.3, 2.5) * rng.choice([-1.0, 1.0]))
+        instance = {2: lambda: case2_instance(seed), 3: lambda: case3_instance(6, magnitude),
+                    4: lambda: case4_instance(6, magnitude, seed)}[case]()
+        q, _ = np.linalg.qr(rng.standard_normal((len(instance["j"]),) * 2))
+        kappa, tau, a, j = instance.get("kappa", 0.0), instance["tau"], instance["skew"], instance["j"]
+        plain = classify_kahler(build_model(kappa, tau, a), j)
+        rotated = classify_kahler(build_model(kappa, tau, q @ a @ q.T), q @ j @ q.T)
+        assert plain.case == rotated.case == case
+        for name in ("kappa", "mu1", "mu2", "c"):
+            if hasattr(plain, name):
+                assert getattr(rotated, name) == pytest.approx(getattr(plain, name), abs=1e-12)
+        for name in ("w1", "w2", "w"):
+            if hasattr(plain, name):
+                carried = q @ getattr(plain, name).projector() @ q.T
+                assert np.max(np.abs(getattr(rotated, name).projector() - carried)) < 1e-12
 
 
 class TestIdentityResiduals:

@@ -512,7 +512,9 @@ class TestLoadSamplesRejections:
         path = self.write(tmp_path, entries)
         with pytest.raises(ParseError) as caught:
             load_samples(path)
-        assert str(caught.value) == f"{path}: {message}"
+        # a DistributionSamples reject is named by its entry like the loader's own faults
+        named = message if message.startswith("entry 1") else f"entry 1: {message}"
+        assert str(caught.value) == f"{path}: {named}"
 
     def test_valid_file_loads_normalized(self, tmp_path):
         path = self.write(tmp_path, with_fault(1, s=[0.0, 4.0, 0.0]))
