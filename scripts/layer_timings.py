@@ -5,8 +5,10 @@ For each dimension d, builds a Kahler model kappa R1 + RA with A = mu J for
 a rotated complex structure J (mu^2 = kappa, so ``classify_kahler`` reaches
 Case 3 through a full recovery) and sphere samples of the distribution of
 A, then times each stage on it.  A stage's time is the median of
-``--repeats`` calls.  ``io.save_tensor_s`` writes the model to a file in a
-temporary directory, which ``io.load_tensor_s`` reads back;
+``--repeats`` calls.  ``io.save_tensor_s`` writes the built model to a
+file in a temporary directory, which ``io.load_tensor_s`` reads back;
+``io.save_tensor_model_s`` writes the same bytes from the model's
+``ModelSlabs``, as ``generate`` does, computing each slab as it is written;
 ``io.load_samples_s`` reads back the samples that ``save_samples`` wrote
 there.  Stages that the benchmark traces use its per-layer names from
 BENCHMARK.json; the Jacobi operators (one call at the scan's default 2d
@@ -20,7 +22,8 @@ keeps the timings steady on a shared machine.
 
 Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
 {d: median seconds}}, "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
-"io.load_tensor": {d: MiB}, "io.load_samples": {d: MiB}}}.  Run it as
+"io.save_tensor_model": {d: MiB}, "io.load_tensor": {d: MiB},
+"io.load_samples": {d: MiB}}}.  Run it as
 
     PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
 """
@@ -56,10 +59,12 @@ from curvlab import (  # noqa: E402
     unit_sphere_samples,
     validate_symmetries,
 )
+from curvlab.curvature import ModelSlabs  # noqa: E402
 from curvlab.models import distribution_samples  # noqa: E402
 
 KAPPA = 0.7
-TRACED_STAGES = ("io.save_tensor_s", "io.load_tensor_s", "io.load_samples_s")
+TRACED_STAGES = ("io.save_tensor_s", "io.save_tensor_model_s", "io.load_tensor_s",
+                 "io.load_samples_s")
 
 
 def stages(d: int, directory: Path):
@@ -77,6 +82,7 @@ def stages(d: int, directory: Path):
     save_samples(samples, samples_path)
     return [
         ("io.save_tensor_s", lambda: save_tensor(tensor, path)),
+        ("io.save_tensor_model_s", lambda: save_tensor(ModelSlabs(KAPPA, 1, a), path)),
         ("io.load_tensor_s", lambda: load_tensor(path)),
         ("io.load_samples_s", lambda: load_samples(samples_path)),
         ("curvature.build_model_s", lambda: build_model(KAPPA, 1, a)),

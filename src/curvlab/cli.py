@@ -45,6 +45,9 @@ from .linalg import (
 )
 
 _LAZY = {
+    "ModelSlabs": "curvature",
+    # no command calls build_model: generate streams ModelSlabs into the
+    # writer; bench/tracing.py patches the name and needs it to resolve
     "build_model": "curvature",
     "recover_decomposition": "isotropy",
     "classify_kahler": "kahler",
@@ -104,9 +107,8 @@ def cmd_generate(args) -> int:
     if args.dim < 2:  # before the A-spec, which would report it as a rejection
         raise ParseError(f"dimension must be at least 2, got {args.dim}")
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
-    tensor = _this.build_model(
-        args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
-    cio.save_tensor(tensor, args.out)
+    model = _this.ModelSlabs(args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
+    cio.save_tensor(model, args.out)
     singular_top = (float(_lapack(np.linalg.svd, skew, compute_uv=False)[0])
                     if np.any(skew) else 0.0)
     lam_edge = args.kappa + 3.0 * args.tau * singular_top**2

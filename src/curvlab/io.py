@@ -9,12 +9,15 @@ earlier versions.  The curvature symmetries make each entry equal, up to
 sign, to one of m(m+1)/2 class values (m = d(d-1)/2), so the save formats
 each class once into a table and copies its text to every entry that has
 exactly its magnitude: a dense d=32 save calls ``repr`` about 250k times
-for its 1,048,576 entries.  Extra memory is the table, 31 bytes per class
-(3.6 MiB at d=32), and one chunk.  ``load_tensor`` reads the file in
-pieces of 64 Ki characters and parses the components into one float64
-array, so beyond that array it needs O(64 KiB) of text and floats; any file
-the piecewise reader does not accept goes to the whole-text parse, which
-alone decides a malformed file and words its error.
+for its 1,048,576 entries.  The save is one pass over the slabs R[i], and
+takes a model's slabs from ``curvature.ModelSlabs`` as they are computed,
+so writing a model never holds its d^4 array.  Extra memory is the table,
+31 bytes per class (3.6 MiB at d=32), one slab and one chunk.
+``load_tensor`` reads the file in pieces of 64 Ki characters and parses
+the components into one float64 array, so beyond that array it needs
+O(64 KiB) of text and floats; any file the piecewise reader does not
+accept goes to the whole-text parse, which alone decides a malformed file
+and words its error.
 Reports render to either human-readable text or a stable machine-readable
 JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
 ``load_samples`` import the curvature and sphere modules when first called,
@@ -36,7 +39,7 @@ from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported, S
 from .linalg import DEFAULT_TOL, require_tol, require_within
 
 if TYPE_CHECKING:
-    from .curvature import CurvatureTensor
+    from .curvature import CurvatureTensor, ModelSlabs
     from .sphere import DistributionSamples
 
 TENSOR_SCHEMA_VERSION = 1
@@ -275,73 +278,84 @@ def _entries_text(values: np.ndarray, classes: np.ndarray, table) -> np.ndarray:
     return text[text != 0]
 
 
-def _class_table(c: np.ndarray, iu: np.ndarray, ju: np.ndarray, first: np.ndarray):
-    """The ``_entries_text`` table of a tensor's curvature classes.
+def _fill_class_rows(slab, pairs: range, iu, ju, first, table) -> int:
+    """Fill the ``_entries_text`` table rows of the classes that ``slab`` represents.
 
     Antisymmetry and pair exchange make each ``R[i, j, k, l]`` with i != j
     and k != l equal, up to sign, to one class representative ``R[a, b, c,
     e]``: a < b, c < e, and pair (a, b) <= (c, e) in the order of the m
     pairs ``iu, ju = np.triu_indices(d, 1)``.  Class (p, q) is row
-    ``first[p] + q - p`` of the table, as in ``np.triu_indices(m)``.
-    Nothing is assumed of the tensor: an entry that misses its class is
-    formatted on its own.  Magnitudes are formatted ``_CHUNK`` classes at a
-    time into ``_WIDTH`` bytes each, and the text is returned as a view as
-    wide as the longest, so a table of short texts makes short records.
+    ``first[p] + q - p`` of the table, as in ``np.triu_indices(m)``, so the
+    classes of the pairs p = (i, b) of slab i are one run of rows, read
+    from ``slab[b, iu[p:], ju[p:]]``.  Nothing is assumed of the tensor: an
+    entry that misses its class is formatted on its own.  Magnitudes are
+    formatted ``_CHUNK`` classes at a time into ``_WIDTH`` bytes each;
+    returns the width of the longest text.
     """
-    bits = np.empty(first[-1] + 1, np.int64)
-    for p, start in enumerate(first):
-        bits[start:start + iu.size - p] = c[iu[p], ju[p], iu[p:], ju[p:]].view(np.int64)
-    bits &= _MAGNITUDE_BITS
-    text, width = np.empty(bits.size, f"S{_WIDTH}"), 1
-    for start in range(0, bits.size, _CHUNK):
-        batch = _magnitude_text(bits[start:start + _CHUNK])
-        text[start:start + _CHUNK], width = batch, max(width, batch.itemsize)
-    # the first ``width`` bytes of each text; a narrowed copy would double
-    # the table's memory while both exist
-    narrow = np.dtype({"names": ["text"], "formats": [f"S{width}"], "itemsize": _WIDTH})
-    return bits, text.view(narrow)["text"]
+    bits, text = table
+    for p in pairs:
+        bits[first[p]:first[p + 1]] = slab[ju[p], iu[p:], ju[p:]].view(np.int64)
+    rows = slice(first[pairs.start], first[pairs.stop])
+    bits[rows] &= _MAGNITUDE_BITS
+    width = 1
+    for start in range(rows.start, rows.stop, _CHUNK):
+        batch = _magnitude_text(bits[start:min(start + _CHUNK, rows.stop)])
+        text[start:start + batch.size], width = batch, max(width, batch.itemsize)
+    return width
 
 
-def save_tensor(r: CurvatureTensor, path) -> None:
-    """Write ``r`` in the tensor layout, one component per line.
+def save_tensor(r: CurvatureTensor | ModelSlabs, path) -> None:
+    """Write ``r`` in the tensor layout, one component per line, in one pass over its slabs.
 
-    The bytes equal those of ``json.dump(payload, indent=2, sort_keys=True)``
-    plus a newline: json prints a finite float with ``float.__repr__``, and
-    components are always finite.  The layout is written directly, about
-    ``_CHUNK`` components at a time, which skips the pure-Python encoder.
-    ``repr`` runs once per distinct magnitude of the m(m+1)/2 curvature
-    classes (see ``_class_table``), and once per distinct magnitude of a
-    chunk for the entries that miss their class: the i = j and k = l
-    entries, and mirrored entries that differ by rounding (about 13% of a
-    dense ``build_model``).  A dense d=32 save calls ``repr`` about 250k
-    times for its 1,048,576 entries, and on one CPU of a shared 2-core
-    machine took 0.40 s, against 0.89 s with one table per slab.  Extra
-    memory is the class table, 31 bytes per class (3.6 MiB at d=32, 18.8
-    MiB at d=48, so O(d^4/8)), and one chunk of ``_CHUNK`` entries, or of
-    d^2 when d > 90.
+    ``r`` is a ``CurvatureTensor``, whose slabs are ``components[i]``, or a
+    ``curvature.ModelSlabs``, which computes each slab as it is asked for,
+    so ``generate`` never holds the d^4 model.  The bytes equal those of
+    ``json.dump(payload, indent=2, sort_keys=True)`` plus a newline: json
+    prints a finite float with ``float.__repr__``, and components are
+    always finite.  The layout is written directly, about ``_CHUNK``
+    components at a time, which skips the pure-Python encoder.  ``repr``
+    runs once per distinct magnitude of the m(m+1)/2 curvature classes
+    (see ``_fill_class_rows``), and once per distinct magnitude of a chunk
+    for the entries that miss their class: the i = j and k = l entries,
+    and mirrored entries that differ by rounding (about 13% of a dense
+    ``build_model``).  Slab i first fills the table rows of its pairs
+    (i, b), then writes its entries; each names the class of two pairs,
+    the lesser of which starts at an index <= i, as the pair order is
+    lexicographic, so its row is filled already.  Extra memory is the
+    class table, 31 bytes per class (3.6 MiB at d=32, 18.8 MiB at d=48, so
+    O(d^4/8)), one slab of a ``ModelSlabs`` and one chunk of ``_CHUNK``
+    entries, or of d^2 when d > 90.
     """
-    c, d = r.components, r.dim
+    d = r.dim
     iu, ju = np.triu_indices(d, 1)
-    rows = np.arange(iu.size)
+    rows = np.arange(iu.size + 1)
     first = rows * (2 * iu.size - rows + 1) // 2
-    table = _class_table(c, iu, ju, first)
+    table = np.empty(first[-1], np.int64), np.empty(first[-1], f"S{_WIDTH}")
+    # pairs (i, b) of slab i run from starts[i] to starts[i + 1]
+    starts = np.searchsorted(iu, np.arange(d + 1))
     # entry (i, j, k, l) has class (lo, hi), the pair indices of (i, j)
     # and (k, l) in order, and none when i = j or k = l
     pair = np.full((d, d), -1)
-    pair[iu, ju] = pair[ju, iu] = rows
-    step = max(1, _CHUNK // d**2)
+    pair[iu, ju] = pair[ju, iu] = rows[:-1]
+    step, width = max(1, _CHUNK // d**2), 1
     with open(path, "wb") as handle:
         handle.write(f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    '.encode())
-        for i in range(d):
+        for i, slab in enumerate(getattr(r, "components", r)):
+            width = max(width, _fill_class_rows(
+                slab, range(starts[i], starts[i + 1]), iu, ju, first, table))
+            # the first ``width`` bytes of each text; a narrowed copy would
+            # double the table's memory while both exist
+            narrow = np.dtype({"names": ["text"], "formats": [f"S{width}"], "itemsize": _WIDTH})
+            narrowed = table[0], table[1].view(narrow)["text"]
             for j in range(0, d, step):
                 lo = np.minimum(pair[i, j:j + step, None], pair.ravel())
                 hi = np.maximum(pair[i, j:j + step, None], pair.ravel())
                 classes = np.where(lo < 0, -1, first[lo] + hi - lo).reshape(-1)
-                text = _entries_text(c[i, j:j + step], classes, table)
+                text = _entries_text(slab[j:j + step], classes, narrowed)
                 handle.write(text[:-len(_SEPARATOR)] if i == d - 1 and j + step >= d else text)
         handle.write(
             f'\n  ],\n  "convention": {json.dumps(TENSOR_CONVENTION)},\n'
-            f'  "dim": {r.dim},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'.encode()
+            f'  "dim": {d},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'.encode()
         )
 
 

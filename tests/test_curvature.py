@@ -32,6 +32,7 @@ from curvlab import (
     unit_sphere_samples,
     validate_symmetries,
 )
+import curvlab.cli as cli
 from curvlab.lemmas import ricci_deviation, symmetry_residual
 from curvlab.models import (
     case4_instance,
@@ -202,6 +203,18 @@ class TestSlabMemory:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_generate_peak_below_one_tensor(self, tmp_path, capsys):
+        # generate streams the model's slabs into the writer: the class
+        # table and one slab, not the d^4 array beside the table
+        def generate(dim):
+            return cli.main(["generate", "--dim", str(dim), "--kappa", "0.7", "--tau", "1",
+                             "--A", "random:5", "--out", str(tmp_path / "t.json")])
+
+        assert generate(4) == 0  # imports every module generate loads
+        peak = self.peak(generate, self.D)
+        assert "sha256" in capsys.readouterr().out
+        assert peak < self.ONE_TENSOR, f"peak {peak / 2**20:.1f} MiB"
 
     def test_build_model_peak_is_output_plus_slabs(self):
         a = random_skew(self.D, 7) / self.D
@@ -486,6 +499,18 @@ class TestNonFiniteComponents:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteComponents, match="overflows the float range"):
                 build_model(kappa, 1, a)
+
+    def test_finite_model_beyond_the_entry_bound_accepted(self):
+        # |kappa| + 4 max|A|^2 overflows, so every slab is checked; the
+        # largest entry, kappa + 3 max|A|^2 = 1.6e308, is finite
+        a = np.zeros((4, 4))
+        a[0, 1] = np.sqrt(2e307)
+        a[1, 0] = -a[0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build_model(1e308, 1, a)
+        assert np.array_equal(model.components.view(np.int64),
+                              oracle_model_einsum(1e308, 1, a).view(np.int64))
 
     def test_nonfinite_kappa_named_as_such(self):
         with pytest.raises(NonFiniteComponents, match=r"found NaN or inf"):

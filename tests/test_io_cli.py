@@ -28,6 +28,7 @@ from curvlab import (
 )
 import curvlab.cli as cli
 import curvlab.io as cio
+from curvlab.curvature import ModelSlabs
 from curvlab.io import load_matrix, render_json
 from curvlab.models import case2_instance, distribution_samples
 
@@ -193,11 +194,15 @@ class TestTensorWriter:
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
     @pytest.mark.parametrize("operator", ["dense", "block"])
     def test_model_bytes_match_json_encoder(self, tmp_path, d, operator):
+        # the model streamed from its slabs writes the built model's bytes
         a = random_skew(d, d) if operator == "dense" else _block_skew(d)
         for kappa in (0.7, -0.7, 0.0, -0.0):
             for tau in (-1, 0, 1):
-                _assert_bytes_match_oracle(
-                    build_model(kappa, tau, a if tau else None, dim=d), tmp_path)
+                model = (kappa, tau, a if tau else None)
+                _assert_bytes_match_oracle(build_model(*model, dim=d), tmp_path)
+                save_tensor(ModelSlabs(*model, dim=d), tmp_path / "streamed.json")
+                assert ((tmp_path / "streamed.json").read_bytes()
+                        == (tmp_path / "oracle.json").read_bytes()), (kappa, tau)
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     def test_repeat_free_bytes_match_json_encoder(self, tmp_path, d):
@@ -630,6 +635,35 @@ class TestCliContract:
             "error: components must be finite: the model kappa*R1 + tau*RA "
             "overflows the float range"
         ]
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["--kappa", "2", "--tau", "0", "--A", "J"], 2,
+         "rejected (ConventionViolation): tau = 0 requires A = 0"),
+        (["--kappa", "inf", "--tau", "0"], 1,
+         "error: components must be finite (found NaN or inf)"),
+        (["--kappa", "1", "--tau", "1", "--A", "big.json"], 1,
+         "error: components must be finite: the model kappa*R1 + tau*RA "
+         "overflows the float range"),
+    ], ids=["convention", "kappa-inf", "overflow"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    def test_generate_rejects_before_writing(self, tmp_path, capsys, args, code, message,
+                                             existing):
+        # the model is checked before the output file is opened
+        a = np.zeros((4, 4))
+        a[0, 1], a[1, 0] = 1e200, -1e200
+        (tmp_path / "big.json").write_text(json.dumps({"matrix": a.tolist()}))
+        args = [str(tmp_path / arg) if arg == "big.json" else arg for arg in args]
+        out = tmp_path / "t.json"
+        if existing:
+            out.write_bytes(b"earlier bytes\n")
+        assert cli.main(["generate", "--dim", "4", *args, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        if existing:
+            assert out.read_bytes() == b"earlier bytes\n"
+        else:
+            assert not out.exists()
 
     def test_generate_random_scan_passes(self, tmp_path):
         out = tmp_path / "t.json"

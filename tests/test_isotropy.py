@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +24,7 @@ from curvlab import (
     kappa_at,
     random_skew,
     recover_decomposition,
+    save_tensor,
     standard_complex_structure,
     unit_sphere_samples,
 )
@@ -324,6 +328,25 @@ class TestRecoverDecomposition:
         )
         with pytest.raises(NotAlmostIsotropic):
             recover_decomposition(CurvatureTensor(6, comp))
+
+    @pytest.mark.parametrize("d", [4, 6, 8])
+    def test_block_aligned_sum_named_not_almost_isotropic(self, tmp_path, d):
+        # R_A + R_B on the same 2x2 blocks deviates by rank one at every
+        # basis vector; only the scan's random samples see its rank-two
+        # deviation (worst rank residual 0.22, 0.42 and 0.74), so a change
+        # to the scan must keep naming this rejection
+        n = d // 2
+        tensor = (build_ra(block_diagonal_skew(d, [1.0] * n))
+                  + build_ra(block_diagonal_skew(d, range(1, n + 1))))
+        with pytest.raises(NotAlmostIsotropic, match="^worst rank residual"):
+            recover_decomposition(tensor)
+        path = tmp_path / "sum.json"
+        save_tensor(tensor, path)
+        result = subprocess.run([sys.executable, "-m", "curvlab.cli", "decompose", str(path)],
+                                capture_output=True, text=True)
+        assert result.returncode == 2
+        assert result.stderr.startswith("rejected (NotAlmostIsotropic): worst rank residual")
+        assert result.stdout == ""
 
     def test_inconsistent_tau_raises(self):
         # rank-one deviations of opposite signs at different basis vectors;
