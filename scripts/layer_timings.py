@@ -8,7 +8,8 @@ A, then times each stage on it.  A stage's time is the median of
 ``--repeats`` calls.  ``io.save_tensor_s`` writes the built model to a
 file in a temporary directory, which ``io.load_tensor_s`` reads back;
 ``io.save_tensor_model_s`` writes the same bytes from the model's
-``ModelSlabs``, as ``generate`` does, computing each slab as it is written;
+``ModelSlabs``, as ``generate`` does: its finiteness sweep, then each slab
+computed as it is written;
 ``io.load_samples_s`` reads back the samples that ``save_samples`` wrote
 there.  Stages that the benchmark traces use its per-layer names from
 BENCHMARK.json; the Jacobi operators (one call at the scan's default 2d

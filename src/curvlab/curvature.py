@@ -147,71 +147,79 @@ def _model_slab(out, i, kappa, tau, a, scratch) -> None:
     out[others, i, others] = -kappa + cross
 
 
-class ModelSlabs:
-    """The model kappa * R1 + tau * RA as a source of its slabs R[i].
+_OVERFLOW = "components must be finite: the model kappa*R1 + tau*RA overflows the float range"
+
+
+def _model_conventions(kappa: float, tau: int, a, dim: int | None):
+    """Check the model conventions and return (kappa, tau, A) for ``_model_slab``.
 
     tau must be -1, 0, or +1, and tau = 0 exactly when A = 0 (any overall
     scale belongs in A, not tau).  When tau = 0 the operator may be omitted
-    and ``dim`` given instead.  Construction checks these conventions and
-    that every entry of the model is finite, so a model beyond the float
-    range is reported once, as NonFiniteComponents, before any slab is
-    used.  Iterating yields the d slabs in order, each written by
-    ``_model_slab`` into one d^3 buffer that the next slab overwrites: the
-    whole model streams in O(d^4) time with O(d^3) memory.
+    and ``dim`` given instead.
+    """
+    if tau not in (-1, 0, 1):
+        raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
+    if dim is not None and dim < 2:
+        raise ValueError(f"dimension must be at least 2, got {dim}")
+    if a is None:
+        if dim is None:
+            raise ValueError("either a skew operator or a dimension is required")
+        a = np.zeros((dim, dim))
+    a = require_skew(a)
+    if dim is not None and a.shape[0] != dim:
+        raise DimensionMismatch(f"operator is {a.shape[0]}x{a.shape[0]}, dim={dim}")
+    is_zero = not np.any(a)
+    if tau == 0 and not is_zero:
+        raise ConventionViolation("tau = 0 requires A = 0")
+    if tau != 0 and is_zero:
+        raise ConventionViolation("tau != 0 requires a nonzero A")
+    return float(kappa), int(tau), a
+
+
+def _model_tensor(kappa: float, tau: int, a: np.ndarray) -> CurvatureTensor:
+    """kappa R1 + tau RA, filled slab by slab.
+
+    A model beyond the float range is reported once, as NonFiniteComponents,
+    rather than through numpy's overflow and invalid-value warnings.
+    """
+    d = a.shape[0]
+    comp, scratch = np.empty((d,) * 4), np.empty((d,) * 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d):
+            _model_slab(comp[i], i, float(kappa), tau, a, scratch)
+    try:
+        return CurvatureTensor(d, comp)
+    except NonFiniteComponents:
+        if not np.isfinite(kappa):
+            raise
+        raise NonFiniteComponents(_OVERFLOW) from None
+
+
+class ModelSlabs:
+    """The model kappa * R1 + tau * RA as a source of its slabs R[i].
+
+    Construction checks the conventions of ``build_model`` and computes
+    every slab once, so a model beyond the float range is reported as
+    build_model reports it, NonFiniteComponents, before any slab is used:
+    O(d^4) time, as one ``build_model`` sweep, and O(d^3) memory.
+    Iterating yields the d slabs in order, each written by ``_model_slab``
+    into one d^3 buffer that the next slab overwrites, bitwise equal to
+    ``build_model(...).components[i]``.
     """
 
     def __init__(self, kappa: float, tau: int, a=None, dim: int | None = None):
-        if tau not in (-1, 0, 1):
-            raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
-        if dim is not None and dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {dim}")
-        if a is None:
-            if dim is None:
-                raise ValueError("either a skew operator or a dimension is required")
-            a = np.zeros((dim, dim))
-        a = require_skew(a)
-        if dim is not None and a.shape[0] != dim:
-            raise DimensionMismatch(f"operator is {a.shape[0]}x{a.shape[0]}, dim={dim}")
-        is_zero = not np.any(a)
-        if tau == 0 and not is_zero:
-            raise ConventionViolation("tau = 0 requires A = 0")
-        if tau != 0 and is_zero:
-            raise ConventionViolation("tau != 0 requires a nonzero A")
-        self.kappa, self.tau, self.skew, self.dim = float(kappa), int(tau), a, a.shape[0]
-        self._require_finite()
-
-    def _require_finite(self) -> None:
-        """Raise NonFiniteComponents unless every entry of the model is finite.
-
-        A NaN or infinite kappa makes every model non-finite.  Otherwise
-        each entry of ``_model_slab`` is at most ``|kappa| + 4 max|A|^2``,
-        evaluated in the kernel's own order of rounded operations: rounding
-        is monotone, so when that bound is finite, so is every entry, and
-        no slab is computed.  Only a bound beyond the float range computes
-        the slabs, and rejects the model if one holds inf or NaN.
-        """
+        self.kappa, self.tau, self.skew = _model_conventions(kappa, tau, a, dim)
+        self.dim = self.skew.shape[0]
         if not np.isfinite(self.kappa):
             raise NonFiniteComponents("components must be finite (found NaN or inf)")
-        largest = _max_abs(self.skew)
-        square = largest * largest if self.tau else 0.0
-        if np.isfinite(abs(self.kappa) + (2.0 * square + square + square)):
-            return
         with np.errstate(over="ignore", invalid="ignore"):
             for slab in self:
                 if not (np.isfinite(slab.max()) and np.isfinite(slab.min())):
-                    raise NonFiniteComponents(
-                        "components must be finite: the model kappa*R1 + tau*RA "
-                        "overflows the float range")
+                    raise NonFiniteComponents(_OVERFLOW)
 
     def __iter__(self):
-        return self.slabs(np.empty((self.dim,) * 3))
-
-    def slabs(self, out: np.ndarray):
-        """Yield each slab R[i], written into ``out[i]`` of a d^4 ``out`` or into a d^3 one."""
-        d = self.dim
-        scratch = np.empty((d,) * 3)
-        for i in range(d):
-            slab = out if out.ndim == 3 else out[i]
+        slab, scratch = np.empty((self.dim,) * 3), np.empty((self.dim,) * 3)
+        for i in range(self.dim):
             _model_slab(slab, i, self.kappa, self.tau, self.skew, scratch)
             yield slab
 
@@ -224,26 +232,23 @@ def build_r1(dim: int) -> CurvatureTensor:
 def build_ra(a) -> CurvatureTensor:
     """Skew-operator tensor RA[i,j,k,l] = 2 A_ij A_lk + A_ik A_lj - A_jk A_li."""
     a = require_skew(a)
-    if not np.any(a):  # the model convention has no tau for A = 0; RA is +0.0
-        return CurvatureTensor(a.shape[0], np.zeros((a.shape[0],) * 4))
-    return build_model(0.0, 1, a)
+    return _model_tensor(0.0, 1, a)
 
 
 def build_model(kappa: float, tau: int, a=None, dim: int | None = None) -> CurvatureTensor:
-    """The model tensor kappa * R1 + tau * RA, checked as ``ModelSlabs`` checks it.
+    """The model tensor kappa * R1 + tau * RA.
 
-    The array is filled from ``ModelSlabs`` one slab R[i] at a time, in
-    O(d^4) time with O(d^3) memory beyond the output.  It is bitwise equal
-    to the einsum build of the formula, signed zeros included: tau = -1
-    with kappa <= -0.0 leaves -0.0 wherever RA vanishes, and every other
-    zero is +0.0.  To write the model to a file, pass the ``ModelSlabs``
-    to ``io.save_tensor``, which needs one slab, not this array.
+    tau must be -1, 0, or +1, and tau = 0 exactly when A = 0 (any overall
+    scale belongs in A, not tau).  When tau = 0 the operator may be omitted
+    and ``dim`` given instead.  The array is filled one slab R[i] at a time,
+    in O(d^4) time with O(d^3) memory beyond the output.  It is bitwise
+    equal to the einsum build of the formula, signed zeros included:
+    tau = -1 with kappa <= -0.0 leaves -0.0 wherever RA vanishes, and every
+    other zero is +0.0.  To write the model to a file, pass
+    ``ModelSlabs(kappa, tau, a, dim)`` to ``io.save_tensor``, which needs
+    one slab, not this array.
     """
-    model = ModelSlabs(kappa, tau, a, dim)
-    components = np.empty((model.dim,) * 4)
-    for _ in model.slabs(components):
-        pass
-    return CurvatureTensor(model.dim, components)
+    return _model_tensor(*_model_conventions(kappa, tau, a, dim))
 
 
 def validate_symmetries(r: CurvatureTensor, j=None) -> SymmetryReport:

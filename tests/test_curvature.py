@@ -33,6 +33,7 @@ from curvlab import (
     validate_symmetries,
 )
 import curvlab.cli as cli
+from curvlab.curvature import ModelSlabs
 from curvlab.lemmas import ricci_deviation, symmetry_residual
 from curvlab.models import (
     case4_instance,
@@ -497,20 +498,23 @@ class TestNonFiniteComponents:
         a[0, 1], a[1, 0] = scale, -scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteComponents, match="overflows the float range"):
-                build_model(kappa, 1, a)
+            for build in (build_model, ModelSlabs):
+                with pytest.raises(NonFiniteComponents, match="overflows the float range"):
+                    build(kappa, 1, a)
 
-    def test_finite_model_beyond_the_entry_bound_accepted(self):
-        # |kappa| + 4 max|A|^2 overflows, so every slab is checked; the
-        # largest entry, kappa + 3 max|A|^2 = 1.6e308, is finite
+    def test_finite_model_near_the_float_range_accepted(self):
+        # the largest entry, kappa + 3 max|A|^2 = 1.6e308, is finite, while
+        # |kappa| + 4 max|A|^2 is not: every slab is checked, not a bound
         a = np.zeros((4, 4))
         a[0, 1] = np.sqrt(2e307)
         a[1, 0] = -a[0, 1]
+        expected = oracle_model_einsum(1e308, 1, a).view(np.int64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = build_model(1e308, 1, a)
-        assert np.array_equal(model.components.view(np.int64),
-                              oracle_model_einsum(1e308, 1, a).view(np.int64))
+            model, slabs = build_model(1e308, 1, a), ModelSlabs(1e308, 1, a)
+            streamed = np.array([slab.copy() for slab in slabs])
+        assert np.array_equal(model.components.view(np.int64), expected)
+        assert np.array_equal(streamed.view(np.int64), expected)
 
     def test_nonfinite_kappa_named_as_such(self):
         with pytest.raises(NonFiniteComponents, match=r"found NaN or inf"):
