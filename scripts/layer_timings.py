@@ -11,18 +11,25 @@ file in a temporary directory, which ``io.load_tensor_s`` reads back;
 ``ModelSlabs``, as ``generate`` does: its finiteness sweep, then each slab
 computed as it is written;
 ``io.load_samples_s`` reads back the samples that ``save_samples`` wrote
-there.  Stages that the benchmark traces use its per-layer names from
-BENCHMARK.json; the Jacobi operators (one call at the scan's default 2d
-samples) and ``nullity_space`` have no benchmark name and are reported as
-``curvature.jacobi_operator_s`` and ``curvature.nullity_space_s``.  The
+there.  Two rows time whole CLI processes: ``cli.teardown_s`` is the time
+from a child's ``main()`` raising ``SystemExit`` (a ``decompose`` of the
+file ``io.load_tensor_s`` reads, whose ``finally`` prints ``time.time()``
+to stderr) to this process seeing the child exit, and ``cli.startup_s``
+is the wall time of ``python -m curvlab.cli --help``, which does not
+depend on d and is reported once.  Stages that the benchmark traces use
+its per-layer names from BENCHMARK.json; the Jacobi operators (one call
+at the scan's default 2d samples) and ``nullity_space`` have no benchmark
+name and are reported as ``curvature.jacobi_operator_s`` and
+``curvature.nullity_space_s``.  The
 file I/O stages also run once under tracemalloc, and their peak traced
 memory is reported in MiB, so the memory claims for the tensor and sample
 files come from the same harness as their times.  As in the benchmark,
 BLAS runs with one thread and the process is pinned to one CPU, which
 keeps the timings steady on a shared machine.
 
-Prints one JSON object: {"dims": [...], "repeats": n, "seconds": {stage:
-{d: median seconds}}, "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
+Prints one JSON object: {"dims": [...], "repeats": n, "cli.startup_s":
+median seconds, "seconds": {stage: {d: median seconds}},
+"tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
 "io.save_tensor_model": {d: MiB}, "io.load_tensor": {d: MiB},
 "io.load_samples": {d: MiB}}}.  Run it as
 
@@ -37,6 +44,8 @@ os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS
 import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -98,6 +107,27 @@ def stages(d: int, directory: Path):
     ]
 
 
+TEARDOWN_CHILD = """
+import sys, time
+from curvlab.cli import main
+sys.argv = ["curvlab", "decompose", sys.argv[1]]
+try:
+    main()
+finally:
+    print(time.time(), file=sys.stderr)
+"""
+
+
+def teardown_seconds(path: Path) -> float:
+    """Time from a decompose child's main() exiting to the child's exit."""
+    proc = subprocess.run([sys.executable, "-c", TEARDOWN_CHILD, str(path)],
+                          capture_output=True, text=True)
+    ended = time.time()
+    if proc.returncode != 0:
+        raise RuntimeError(f"decompose {path} exited {proc.returncode}: {proc.stderr}")
+    return ended - float(proc.stderr.splitlines()[-1])
+
+
 def median_seconds(call, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -135,8 +165,14 @@ def main(argv=None) -> int:
                 seconds.setdefault(name, {})[str(d)] = median_seconds(call, args.repeats)
                 if name in TRACED_STAGES:
                     peaks.setdefault(name.removesuffix("_s"), {})[str(d)] = peak_mib(call)
-    print(json.dumps({"dims": dims, "repeats": args.repeats, "seconds": seconds,
-                      "tracemalloc_peak_mib": peaks}, indent=2))
+            path = Path(directory) / f"model-d{d}.json"
+            seconds.setdefault("cli.teardown_s", {})[str(d)] = statistics.median(
+                teardown_seconds(path) for _ in range(args.repeats))
+    startup = median_seconds(lambda: subprocess.run(
+        [sys.executable, "-m", "curvlab.cli", "--help"], capture_output=True, check=True),
+        args.repeats)
+    print(json.dumps({"dims": dims, "repeats": args.repeats, "cli.startup_s": startup,
+                      "seconds": seconds, "tracemalloc_peak_mib": peaks}, indent=2))
     return 0
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -18,6 +19,7 @@ from curvlab import (
     SymmetryViolation,
     build_model,
     build_r1,
+    build_ra,
     load_samples,
     load_tensor,
     random_skew,
@@ -30,21 +32,27 @@ import curvlab.cli as cli
 import curvlab.io as cio
 from curvlab.curvature import ModelSlabs
 from curvlab.io import load_matrix, render_json
-from curvlab.models import case2_instance, distribution_samples
+from curvlab.models import block_diagonal_skew, case2_instance, distribution_samples
 
 from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
 
 
-def run_cli(*args, env=None):
+# what the ``curvlab`` console script runs: main() with argv read from sys.argv
+SCRIPT_ENTRY = ("import sys; from curvlab.cli import main; "
+                "sys.argv = ['curvlab', *sys.argv[1:]]; main()")
+ENTRIES = {"module": ["-m", "curvlab.cli"], "script": ["-c", SCRIPT_ENTRY]}
+
+
+def run_cli(*args, env=None, entry="module", text=True):
     import os
 
     merged = dict(os.environ)
     if env:
         merged.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", *args],
+        [sys.executable, *ENTRIES[entry], *args],
         capture_output=True,
-        text=True,
+        text=text,
         env=merged,
     )
 
@@ -758,6 +766,55 @@ class TestCliContract:
     def test_missing_file_exits_one(self, tmp_path):
         result = run_cli("decompose", str(tmp_path / "absent.json"))
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("command, code", [
+        (["generate", "--dim", "4", "--kappa", "0.7", "--tau", "1", "--A", "random:1",
+          "--out", "m.json"], 0),
+        (["decompose", "sum.json"], 2),
+        (["decompose", "absent.json"], 1),
+    ], ids=["generate", "not-almost-isotropic", "missing-file"])
+    def test_process_entries_match_main(self, tmp_path, capsys, command, code):
+        # python -m curvlab.cli and the console script both end through
+        # main()'s exit branch; each must print what in-process main() does
+        save_tensor(build_ra(block_diagonal_skew(4, [1.0, 1.0]))
+                    + build_ra(block_diagonal_skew(4, [1.0, 2.0])), tmp_path / "sum.json")
+        args = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command]
+        assert cli.main(args) == code
+        captured = capsys.readouterr()
+        for entry in ENTRIES:
+            result = run_cli(*args, entry=entry, text=False)
+            assert result.returncode == code, entry
+            assert result.stdout == captured.out.encode(), entry
+            assert result.stderr.decode() == captured.err, entry
+
+    @pytest.mark.parametrize("command, code", [
+        (["generate", "--dim", "4", "--kappa", "1", "--tau", "0", "--out", "t.json"], 0),
+        (["generate", "--dim", "4", "--kappa", "2", "--tau", "0", "--A", "J",
+          "--out", "t.json"], 2),
+    ], ids=["exit-0", "exit-2"])
+    def test_in_process_main_leaves_gc_alone(self, tmp_path, capsys, command, code):
+        # only the process entry freezes the collector at exit; a library
+        # caller such as pytest or bench/tracing.py keeps its own
+        frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+        args = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in command]
+        assert cli.main(args) == code
+        capsys.readouterr()
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+    def test_process_entry_freezes_gc_at_exit(self, tmp_path):
+        child = ("import gc, sys\n"
+                 "from curvlab.cli import main\n"
+                 "sys.argv = ['curvlab', *sys.argv[1:]]\n"
+                 "try:\n"
+                 "    main()\n"
+                 "finally:\n"
+                 "    print(gc.get_freeze_count() > 0)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", child, "generate", "--dim", "4", "--kappa", "1",
+             "--tau", "0", "--out", str(tmp_path / "t.json")],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "True"
 
     def test_tolerance_env_override(self, tmp_path):
         # R1 in dimension 4 is rejected at the default tolerance but slips
