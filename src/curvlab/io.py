@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported, SymmetryViolation
-from .linalg import DEFAULT_TOL, require_tol, require_within
+from .linalg import DEFAULT_TOL, require_tol, require_within, threshold
 
 if TYPE_CHECKING:
     from .curvature import CurvatureTensor, ModelSlabs
@@ -390,11 +390,11 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     except NonFiniteComponents as exc:
         raise ParseError(f"{path}: components: values must be finite") from exc
     report = validate_symmetries(tensor)
-    scale = max(1.0, tensor.max_abs)
+    limit = threshold(tol, tensor.max_abs)
     for name, resid in (("antisymmetry", report.antisymmetry_residual),
                         ("pair-exchange", report.pair_exchange_residual),
                         ("first Bianchi", report.bianchi_residual)):
-        require_within(resid, tol * scale, SymmetryViolation,
+        require_within(resid, limit, SymmetryViolation,
                        f"{path}: {name} identity fails with residual")
     return tensor
 

@@ -32,6 +32,7 @@ from .linalg import (
     require_within,
     scale_of,
     symmetric_spectrum,
+    threshold,
     unit_sphere_samples,
 )
 
@@ -117,24 +118,23 @@ def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, in
     eigenvalue; use :func:`almost_isotropy_scan`, which votes across
     samples, instead.
     """
-    tol = require_tol(tol)
     if r.dim == 3:
         raise ValueError(
             "kappa is ambiguous at a single sample in dimension 3; "
             "use almost_isotropy_scan"
         )
     (eigenvalues,), _ = _spectra_on_complement(r, [s])
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
+    limit = threshold(tol, eigenvalues)
     size = max(1, r.dim - 2)
     centers, widths = _tightest_windows(eigenvalues[None], size)
-    require_within(widths[0], tol * scale, NoDominantEigenvalue,
+    require_within(widths[0], limit, NoDominantEigenvalue,
                    f"no eigenvalue cluster of size {size}: tightest width")
     kappa_s = float(centers[0])
-    multiplicity = int(np.sum(np.abs(eigenvalues - kappa_s) <= tol * scale))
+    multiplicity = int(np.sum(np.abs(eigenvalues - kappa_s) <= limit))
     return kappa_s, multiplicity
 
 
-def _consensus_kappa_d3(spectra: np.ndarray, tol: float, scale: float) -> float:
+def _consensus_kappa_d3(spectra: np.ndarray, limit: float) -> float:
     # every observed eigenvalue is a candidate; pick the one that some
     # eigenvalue of every sample comes closest to matching
     candidates = np.unique(spectra.ravel())
@@ -144,14 +144,13 @@ def _consensus_kappa_d3(spectra: np.ndarray, tol: float, scale: float) -> float:
     best = candidates[order[0]]
     matched = spectra[np.arange(spectra.shape[0]),
                       np.abs(spectra - best).argmin(axis=1)]
-    close = matched[np.abs(matched - best) <= tol * scale]
+    close = matched[np.abs(matched - best) <= limit]
     return float(np.mean(close)) if close.size else float(best)
 
 
 def almost_isotropy_scan(
     r: CurvatureTensor,
     n_samples: int | None = None,
-    seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> IsotropyReport:
     """Scan sampled unit vectors for a shared isotropy constant.
@@ -163,7 +162,7 @@ def almost_isotropy_scan(
     isotropic, with kappa estimated best-effort, so that broken inputs
     still produce a diagnosable report.
     """
-    return _scan(r, n_samples, seed, require_tol(tol))[0]
+    return _scan(r, n_samples, tol)[0]
 
 
 def _median(values: np.ndarray) -> float:
@@ -179,23 +178,23 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[half - 1] + ordered[half]) / 2)
 
 
-def _scan(r, n_samples, seed, tol):
+def _scan(r, n_samples, tol):
     """The scan's report, the eigenvalues and eigenvectors it computed, and its threshold."""
     d = r.dim
     if n_samples is None:
         n_samples = max(2 * d, 12)
     if n_samples < 1:
         raise ValueError("scan needs at least one sample")
-    spectra, vectors = _spectra_on_complement(r, unit_sphere_samples(d, n_samples, seed))
-    scale = max(1.0, float(np.max(np.abs(spectra))))
+    spectra, vectors = _spectra_on_complement(r, unit_sphere_samples(d, n_samples))
+    limit = threshold(tol, spectra)
 
     if d == 3:
-        kappa = _consensus_kappa_d3(spectra, tol, scale)
+        kappa = _consensus_kappa_d3(spectra, limit)
     else:
         centers, widths = _tightest_windows(spectra, max(1, d - 2))
-        clustered = centers[widths <= tol * scale]
+        clustered = centers[widths <= limit]
         if clustered.size:
-            require_within(float(clustered.max() - clustered.min()), tol * scale,
+            require_within(float(clustered.max() - clustered.min()), limit,
                            InconsistentKappa, "per-sample constants disagree by")
             kappa = float(np.mean(clustered))
         else:
@@ -206,12 +205,12 @@ def _scan(r, n_samples, seed, tol):
     worst_rank = float(deviations[:, 1].max()) if d - 1 >= 2 else 0.0
     report = IsotropyReport(
         kappa=kappa,
-        is_isotropic=worst_full <= tol * scale,
-        is_almost_isotropic=worst_rank <= tol * scale,
+        is_isotropic=worst_full <= limit,
+        is_almost_isotropic=worst_rank <= limit,
         worst_rank_residual=worst_rank,
         samples_used=n_samples,
     )
-    return report, spectra, vectors, tol * scale
+    return report, spectra, vectors, limit
 
 
 def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
@@ -221,14 +220,12 @@ def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
 
 def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL) -> Subspace:
     """The kappa-eigenspace of the Jacobi operator restricted to s-perp."""
-    tol = require_tol(tol)
     (eigenvalues,), (vectors,) = _spectra_on_complement(r, [s])
-    scale = max(1.0, abs(kappa), float(np.max(np.abs(eigenvalues))))
-    keep = np.abs(eigenvalues - kappa) <= tol * scale
+    keep = np.abs(eigenvalues - kappa) <= threshold(tol, np.append(eigenvalues, kappa))
     return Subspace(r.dim, vectors[:, keep])
 
 
-def _model_columns(r, eigenvalues, vectors, kappa, tol, scale):
+def _model_columns(r, eigenvalues, vectors, kappa, limit):
     """tau and the columns of A, up to one global sign, from one anchor column.
 
     Takes the spectra of J_{e_i} on e_i-perp, i = 1..d.  There the deviation
@@ -244,14 +241,14 @@ def _model_columns(r, eigenvalues, vectors, kappa, tol, scale):
     deviations = (eigenvalues - kappa) / 3.0
     order = np.argsort(np.abs(deviations), axis=1)
     ranked = np.take_along_axis(deviations, order, axis=1)
-    bad = np.flatnonzero(np.any(~(np.abs(ranked[:, :-1]) <= tol * scale), axis=1))  # NaN fails
+    bad = np.flatnonzero(np.any(~(np.abs(ranked[:, :-1]) <= limit), axis=1))  # NaN fails
     if bad.size:
         raise NotAlmostIsotropic(
             f"Jacobi deviation at basis vector {bad[0]} has rank above one: second "
-            f"eigenvalue {ranked[bad[0], -2]:.3e} exceeds {tol * scale:.3e}"
+            f"eigenvalue {ranked[bad[0], -2]:.3e} exceeds {limit:.3e}"
         )
     top = ranked[:, -1]
-    signs = np.sign(top[np.abs(top) > tol * scale])  # basis vectors in ker(A) give none
+    signs = np.sign(top[np.abs(top) > limit])  # basis vectors in ker(A) give none
     if signs.size == 0:
         return 0, np.zeros((d, d))
     if np.any(signs != signs[0]):
@@ -274,7 +271,6 @@ def recover_decomposition(
     r: CurvatureTensor,
     tol: float = DEFAULT_TOL,
     n_samples: int | None = None,
-    seed: int = 0,
 ) -> Decomposition:
     """Invert the model form: find (kappa, tau, A) with R = kappa R1 + tau RA.
 
@@ -292,17 +288,17 @@ def recover_decomposition(
     tol = require_tol(tol)
     d = r.dim
     try:
-        report, spectra, vectors, threshold = _scan(r, n_samples, seed, tol)
+        report, spectra, vectors, scan_limit = _scan(r, n_samples, tol)
     except (InconsistentKappa, NoDominantEigenvalue) as exc:
         raise NotAlmostIsotropic(str(exc)) from exc
-    require_within(report.worst_rank_residual, threshold, NotAlmostIsotropic, "worst rank residual")
+    require_within(report.worst_rank_residual, scan_limit, NotAlmostIsotropic, "worst rank residual")
     kappa = report.kappa
-    scale = max(1.0, r.max_abs)
+    max_abs = r.max_abs
     if report.samples_used < d:  # the scan's samples start with e_1..e_d
         spectra, vectors = _spectra_on_complement(r, np.eye(d))
-    tau, rows = _model_columns(r, spectra[:d], vectors[:d], kappa, tol, scale)
+    tau, rows = _model_columns(r, spectra[:d], vectors[:d], kappa, threshold(tol, max_abs))
     skew = (rows.T - rows) / 2.0
-    skew = canonical_sign_matrix(skew, zero_tol=tol * scale_of(skew))
+    skew = canonical_sign_matrix(skew, zero_tol=threshold(tol, skew))
 
     # max |R - model| one model slab at a time, never building the model
     slab, scratch = np.empty((d,) * 3), np.empty((d,) * 3)
@@ -310,6 +306,6 @@ def recover_decomposition(
     for i in range(d):
         _model_slab(slab, i, kappa, tau, skew, scratch)
         residual = max(residual, _max_abs(np.subtract(slab, r.components[i], out=slab)))
-    residual /= scale
+    residual /= scale_of(max_abs)
     require_within(residual, tol, SignResolutionFailure, "reconstruction residual")
     return Decomposition(kappa=kappa, tau=tau, skew=skew, residual=residual)

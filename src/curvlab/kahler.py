@@ -38,9 +38,8 @@ from .linalg import (
     require_complex_structure,
     require_orthonormal,
     require_skew,
-    require_tol,
     require_within,
-    scale_of,
+    threshold,
 )
 
 
@@ -112,12 +111,12 @@ def commute_type(a, j, tol: float = DEFAULT_TOL) -> str:
     """Classify AJ versus JA: "commute", "anticommute", or "neither"."""
     a = require_skew(a)
     j = require_complex_structure(j, dim=len(a))
-    threshold = tol * scale_of(a)
+    limit = threshold(tol, a)
     commutator = float(np.max(np.abs(a @ j - j @ a)))
     anticommutator = float(np.max(np.abs(a @ j + j @ a)))
-    if commutator <= threshold:
+    if commutator <= limit:
         return "commute"
-    if anticommutator <= threshold:
+    if anticommutator <= limit:
         return "anticommute"
     return "neither"
 
@@ -142,7 +141,7 @@ def analyze_b_operator(a, j, tol: float = DEFAULT_TOL) -> BAnalysis:
         frame = _lapack(np.linalg.eigh, 1j * j)[1][:, len(j) // 2:]
         spectrum, vectors = _lapack(np.linalg.eigh, frame.conj().T @ b @ frame)
         z = np.sqrt(2.0) * (frame @ vectors)
-        gaps = np.flatnonzero(np.diff(spectrum) > tol * scale_of(b))
+        gaps = np.flatnonzero(np.diff(spectrum) > threshold(tol, b))
         for group in np.split(np.arange(len(spectrum)), gaps + 1):
             eigenvalues.append(float(np.mean(spectrum[group])))
             eigenplanes.append(Subspace(len(b), np.hstack([z[:, group].real, z[:, group].imag])))
@@ -160,14 +159,13 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
     are violated (which signals the input is not a genuine Kahler almost
     isotropic tensor even though both screens passed numerically).
     """
-    tol = require_tol(tol)
+    max_abs = r.max_abs
+    limit = threshold(tol, max_abs)
     j = require_complex_structure(j)
     report = validate_symmetries(r, j)
-    max_abs = r.max_abs
-    scale = max(1.0, max_abs)
-    require_within(report.worst_base_residual, tol * scale, SymmetryViolation,
+    require_within(report.worst_base_residual, limit, SymmetryViolation,
                    "curvature symmetries fail: worst residual")
-    require_within(report.kahler_residual, tol * scale, NotKahler, "Kahler residual")
+    require_within(report.kahler_residual, limit, NotKahler, "Kahler residual")
 
     try:
         decomposition = recover_decomposition(r, tol)
@@ -181,7 +179,7 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
 
     if tau == 0:
         # an isotropic Kahler tensor in dimension >= 4 must vanish
-        require_within(max_abs, tol * scale, StructureViolation, "isotropic (tau = 0) "
+        require_within(max_abs, limit, StructureViolation, "isotropic (tau = 0) "
                        "Kahler tensor must vanish in dimension >= 4: largest entry")
         return Case4(c=0.0, w=Subspace.empty(d))
 
@@ -195,13 +193,13 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
     mus = [-value for value in analysis.eigenvalues]
     planes = analysis.eigenplanes
     structure = j @ sum(mu * plane.projector() for mu, plane in zip(mus, planes))
-    require_within(float(np.max(np.abs(a - structure))), tol * scale_of(a), StructureViolation,
+    require_within(float(np.max(np.abs(a - structure))), threshold(tol, a), StructureViolation,
                    "skew operator is not J composed with weighted plane projections: residual")
 
-    if abs(kappa) <= tol * scale:
+    if abs(kappa) <= limit:
         # flat case: A = mu * J P_W for a single holomorphic plane W
         nonzero = [(mu, plane) for mu, plane in zip(mus, planes)
-                   if abs(mu) > tol * scale_of(analysis.b)]
+                   if abs(mu) > threshold(tol, analysis.b)]
         if len(nonzero) != 1 or nonzero[0][1].dimension != 2:
             raise StructureViolation("flat case requires exactly one 2-dimensional nonzero "
                                      "eigenplane of B")
@@ -213,7 +211,7 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
                                  "a Kahler almost isotropic tensor has one, or two in dimension 4")
     ratio = kappa / tau
     product = mus[0] * mus[-1]
-    require_within(abs(product - ratio), tol * max(1.0, abs(ratio)), StructureViolation,
+    require_within(abs(product - ratio), threshold(tol, ratio), StructureViolation,
                    f"eigenvalue product {product:.6g} fails mu_first mu_last = kappa/tau = "
                    f"{ratio:.6g}: residual")
     if len(mus) == 1:
@@ -304,4 +302,4 @@ def einstein_check(r: CurvatureTensor, tol: float = DEFAULT_TOL) -> tuple[bool, 
     ric = ricci(r)
     constant = float(np.trace(ric)) / r.dim
     resid = float(np.max(np.abs(ric - constant * np.eye(r.dim))))
-    return resid <= tol * scale_of(ric), constant
+    return resid <= threshold(tol, ric), constant

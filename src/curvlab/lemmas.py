@@ -37,6 +37,7 @@ from .linalg import (
     Subspace,
     random_skew,
     rank_with_tol,
+    scale_of,
     symmetric_spectrum,
     unit_sphere_samples,
 )
@@ -95,13 +96,13 @@ def spectrum_residual(matrices) -> float:
         eigenvalues, vectors = symmetric_spectrum(sym)
         worst = max(worst, float(np.max(np.abs(vectors.T @ vectors - np.eye(len(sym))))))
         rebuilt = (vectors * eigenvalues) @ vectors.T
-        worst = max(worst, float(np.max(np.abs(rebuilt - sym))) / max(1.0, float(np.max(np.abs(sym)))))
+        worst = max(worst, float(np.max(np.abs(rebuilt - sym))) / scale_of(sym))
     return worst
 
 
 def odd_rank_count(skews) -> int:
     """How many of the skew operators have odd rank."""
-    return sum(rank_with_tol(a, 1e-9) % 2 for a in skews)
+    return sum(rank_with_tol(a) % 2 for a in skews)
 
 
 def symmetry_residual(tensors) -> float:
@@ -136,7 +137,7 @@ def einstein_mismatches(models) -> int:
     for tensor, _, _, a in models:
         a2 = a @ a
         scalar = float(np.max(np.abs(a2 - (np.trace(a2) / tensor.dim) * np.eye(tensor.dim)))) < 1e-9
-        mismatches += einstein_check(tensor, 1e-9)[0] != scalar
+        mismatches += einstein_check(tensor)[0] != scalar
     return mismatches
 
 
@@ -147,7 +148,7 @@ def rank_excess(models, points) -> int:
         # the s row and column vanish, so this is the rank on s-perp
         ambient = np.eye(tensor.dim) - samples[:, :, None] * samples[:, None, :]
         deviations = jacobi_operator(tensor, samples) - kappa * ambient
-        bad += sum(rank_with_tol(deviation, 1e-9) > 1 for deviation in deviations)
+        bad += sum(rank_with_tol(deviation) > 1 for deviation in deviations)
     return bad
 
 
@@ -158,7 +159,7 @@ def roundtrip_error(models) -> float:
         found = recover_decomposition(tensor)
         rebuilt = build_model(found.kappa, found.tau, found.skew if found.tau else None, dim=tensor.dim)
         residual = float(np.max(np.abs(rebuilt.components - tensor.components)))
-        worst = max(worst, abs(found.kappa - kappa), residual / max(1.0, tensor.max_abs))
+        worst = max(worst, abs(found.kappa - kappa), residual / scale_of(tensor.max_abs))
     return worst
 
 
@@ -199,8 +200,7 @@ def projection_form_deviation(models, points, rng) -> float:
             lam = extremal_curvature(tensor, kappa, s)
             w = unit_orthogonal_to(s, rng)
             expected = kappa * w + (lam - kappa) * (np.dot(w, image) / weight) * image
-            scale = max(1.0, float(np.max(np.abs(expected))))
-            worst = max(worst, float(np.max(np.abs(jac @ w - expected))) / scale)
+            worst = max(worst, float(np.max(np.abs(jac @ w - expected))) / scale_of(expected))
     return worst
 
 

@@ -35,6 +35,9 @@ UNIT_TOL = 1e-12
 #: Gram-matrix slack accepted for orthonormal tuples and subspace bases.
 ORTHO_TOL = 1e-10
 
+#: Slack accepted for skew symmetry (relative) and for complex structures.
+STRUCTURE_TOL = 1e-12
+
 _SIGN_FLOOR = 1e-12
 
 
@@ -65,46 +68,43 @@ def _require_finite(a: np.ndarray, error, what: str) -> None:
 
 def scale_of(a) -> float:
     """max(1, largest absolute entry): the reference for relative tolerances."""
-    arr = np.asarray(a, dtype=float)
-    if arr.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(arr))))
+    return max(1.0, float(np.max(np.abs(np.asarray(a, dtype=float)), initial=0.0)))
 
 
-def require_unit(v, tol: float = UNIT_TOL, name: str = "vector") -> np.ndarray:
+def require_unit(v, name: str = "vector") -> np.ndarray:
     """Validate a unit vector, or a stack of unit vectors along the last axis."""
     v = np.asarray(v, dtype=float)
     norms = np.linalg.norm(np.atleast_1d(v), axis=-1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))  # a NaN norm fails too
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))  # a NaN norm fails too
     if bad.size:
         norm = float(norms.flat[bad[0]])
-        raise NotUnit(f"{name} has norm {norm!r}, expected 1 within {tol:g}")
+        raise NotUnit(f"{name} has norm {norm!r}, expected 1 within {UNIT_TOL:g}")
     return v
 
 
-def require_orthonormal(vectors, tol: float = ORTHO_TOL) -> np.ndarray:
+def require_orthonormal(vectors) -> np.ndarray:
     """Stack vectors as rows after checking their Gram matrix is the identity."""
     rows = np.asarray([np.asarray(v, dtype=float) for v in vectors])
     _require_finite(rows, NotOrthonormal, "vectors")
     resid = float(np.max(np.abs(rows @ rows.T - np.eye(len(rows))))) if rows.size else 0.0
-    require_within(resid, tol, NotOrthonormal, "vectors are not orthonormal: Gram residual")
+    require_within(resid, ORTHO_TOL, NotOrthonormal, "vectors are not orthonormal: Gram residual")
     return rows
 
 
-def require_skew(a, tol: float = 1e-12, name: str = "operator") -> np.ndarray:
+def require_skew(a) -> np.ndarray:
     """Validate skew symmetry relative to max(1, largest entry)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSkew(f"{name} must be a square matrix, got shape {a.shape}")
+        raise NotSkew(f"operator must be a square matrix, got shape {a.shape}")
     if a.size == 0:
-        raise NotSkew(f"{name} must not be empty, got shape {a.shape}")
-    _require_finite(a, NotSkew, name)
-    require_within(float(np.max(np.abs(a + a.T))), tol * scale_of(a), NotSkew,
-                   f"{name} is not skew symmetric: residual")
+        raise NotSkew(f"operator must not be empty, got shape {a.shape}")
+    _require_finite(a, NotSkew, "operator")
+    require_within(float(np.max(np.abs(a + a.T))), threshold(STRUCTURE_TOL, a), NotSkew,
+                   "operator is not skew symmetric: residual")
     return a
 
 
-def require_complex_structure(j, tol: float = 1e-12, dim: int | None = None) -> np.ndarray:
+def require_complex_structure(j, dim: int | None = None) -> np.ndarray:
     """Validate J^T J = Id and J^2 = -Id on R^dim, else raise ``PreconditionViolated``."""
     j = np.asarray(j, dtype=float)
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
@@ -114,9 +114,9 @@ def require_complex_structure(j, tol: float = 1e-12, dim: int | None = None) -> 
     if d % 2:
         raise OddDimension(f"complex structure needs even dimension, got {d}")
     eye = np.eye(d)
-    require_within(float(np.max(np.abs(j.T @ j - eye))), tol, PreconditionViolated,
+    require_within(float(np.max(np.abs(j.T @ j - eye))), STRUCTURE_TOL, PreconditionViolated,
                    "complex structure is not orthogonal: |J^T J - Id|")
-    require_within(float(np.max(np.abs(j @ j + eye))), tol, PreconditionViolated,
+    require_within(float(np.max(np.abs(j @ j + eye))), STRUCTURE_TOL, PreconditionViolated,
                    "complex structure does not square to -Id: |J^2 + Id|")
     if dim is not None and d != dim:
         raise DimensionMismatch(f"complex structure is {d}-dimensional, expected {dim}")
@@ -134,14 +134,14 @@ def standard_complex_structure(d: int) -> np.ndarray:
     return j
 
 
-def canonical_sign_columns(u: np.ndarray, zero_tol: float = _SIGN_FLOOR) -> np.ndarray:
-    """Flip column signs so the first entry above ``zero_tol`` is positive.
+def canonical_sign_columns(u: np.ndarray) -> np.ndarray:
+    """Flip column signs so the first entry above ``_SIGN_FLOOR`` is positive.
 
     Leading axes beyond the last two are batch axes: ``u`` of shape
     (..., m, k) has each of its k columns treated on its own.
     """
     u = np.asarray(u, dtype=float)
-    above = np.abs(u) > zero_tol
+    above = np.abs(u) > _SIGN_FLOOR
     first = above & (np.cumsum(above, axis=-2) == 1)
     flip = np.any(first & (u < 0), axis=-2, keepdims=True)
     return np.where(flip, -u, u)
@@ -180,15 +180,20 @@ def require_tol(tol) -> float:
     return value
 
 
+def threshold(tol, reference) -> float:
+    """``tol * scale_of(reference)`` after ``require_tol(tol)``: every relative bound.
+
+    Pass a tensor's ``max_abs`` as the reference, not its d^4 components.
+    """
+    return require_tol(tol) * scale_of(reference)
+
+
 def rank_with_tol(mat, tol: float = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol * max(1, largest singular value)``."""
-    tol = require_tol(tol)
     mat = np.asarray(mat, dtype=float)
     _require_finite(mat, PreconditionViolated, "matrix")
     singular = _lapack(np.linalg.svd, mat, compute_uv=False)
-    if singular.size == 0:
-        return 0
-    return int(np.sum(singular > tol * max(1.0, float(singular[0]))))
+    return int(np.sum(singular > threshold(tol, singular[:1])))
 
 
 def unit_sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
@@ -235,8 +240,7 @@ def null_space(mat, tol: float = DEFAULT_TOL) -> "Subspace":
     mat = np.asarray(mat, dtype=float)
     m, n = mat.shape
     _, singular, vt = _lapack(np.linalg.svd, mat, full_matrices=m < n)
-    top = float(singular[0]) if singular.size else 0.0
-    rank = int(np.sum(singular > tol * max(1.0, top)))
+    rank = int(np.sum(singular > threshold(tol, singular[:1])))
     kernel = canonical_sign_columns(vt[rank:].T)
     return Subspace(n, kernel)
 
@@ -274,6 +278,7 @@ class Subspace:
     @classmethod
     def span(cls, vectors, dim: int | None = None, tol: float = 1e-12) -> "Subspace":
         """Orthonormalized span of the given vectors (rank cut at ``tol``)."""
+        tol = require_tol(tol)
         mat = np.asarray([np.asarray(v, dtype=float) for v in vectors])
         if mat.size == 0:
             if dim is None:
@@ -286,6 +291,7 @@ class Subspace:
         _require_finite(mat, PreconditionViolated, "vectors")
         u, singular, _ = _lapack(np.linalg.svd, mat, full_matrices=False)
         top = float(singular[0]) if singular.size else 0.0
+        # purely relative, not threshold(): tiny spanning vectors keep their span
         rank = int(np.sum(singular > tol * max(top, 1e-300)))
         return cls(d, canonical_sign_columns(u[:, :rank]))
 
@@ -305,10 +311,10 @@ class Subspace:
         u, _, _ = _lapack(np.linalg.svd, self.basis, full_matrices=True)
         return Subspace(self.dim, canonical_sign_columns(u[:, self.dimension:]))
 
-    def contains(self, v, tol: float = 1e-10) -> bool:
+    def contains(self, v) -> bool:
         v = np.asarray(v, dtype=float)
         resid = float(np.linalg.norm(v - self.projector() @ v))
-        return resid <= tol * scale_of(v)
+        return resid <= threshold(ORTHO_TOL, v)
 
     def principal_angles(self, other: "Subspace") -> np.ndarray:
         """Principal angles (ascending), one per dimension of the smaller space.
@@ -339,10 +345,10 @@ class Subspace:
             return 0.0
         return float(self.principal_angles(other)[-1])
 
-    def intersection(self, other: "Subspace", tol: float = 1e-8) -> "Subspace":
+    def intersection(self, other: "Subspace") -> "Subspace":
         """Common subspace, via the eigenvalue-2 eigenspace of P_self + P_other."""
         if self.dim != other.dim:
             raise ValueError("subspaces live in different ambient dimensions")
         eigenvalues, vectors = _lapack(np.linalg.eigh, self.projector() + other.projector())
-        keep = eigenvalues >= 2.0 - tol
+        keep = eigenvalues >= 2.0 - 1e-8
         return Subspace(self.dim, canonical_sign_columns(vectors[:, keep]))

@@ -95,10 +95,10 @@ def as_model(instance: dict):
     return instance["tensor"], instance["kappa"], instance["tau"], instance["skew"]
 
 
-def case2_instance(seed: int = 0, spread: float = 0.1) -> dict:
+def case2_instance(seed: int = 0) -> dict:
     """A d=4 instance with two distinct holomorphic eigenplanes.
 
-    Draws mu1, mu2 with |mu1 - mu2| and |mu1 + mu2| above ``spread`` (so
+    Draws mu1, mu2 with |mu1 - mu2| and |mu1 + mu2| above 0.1 (so
     the classification does not collapse to the constant holomorphic case)
     and sets kappa = tau * mu1 * mu2.
     """
@@ -106,7 +106,7 @@ def case2_instance(seed: int = 0, spread: float = 0.1) -> dict:
     j = standard_complex_structure(4)
     while True:
         mu1, mu2 = rng.uniform(0.3, 2.5, size=2) * rng.choice([-1.0, 1.0], size=2)
-        if abs(mu1 - mu2) > spread and abs(mu1 + mu2) > spread:
+        if abs(mu1 - mu2) > 0.1 and abs(mu1 + mu2) > 0.1:
             break
     tau = int(rng.choice([-1, 1]))
     kappa = tau * mu1 * mu2
@@ -143,12 +143,11 @@ def case4_instance(d: int, c: float, seed: int = 0) -> dict:
     return {"tensor": tensor, "j": j, "c": c, "tau": tau, "w": w, "skew": a}
 
 
-def quaternion_instance(kappa: float = 1.0, tau: int = 1) -> dict:
-    """The anticommuting counterexample: almost isotropic, never Kahler."""
+def quaternion_instance() -> dict:
+    """The anticommuting counterexample R1 + RA: almost isotropic, never Kahler."""
     j = standard_complex_structure(4)
     a = quaternion_j()
-    tensor = build_model(kappa, tau, a)
-    return {"tensor": tensor, "j": j, "kappa": kappa, "tau": tau, "skew": a}
+    return {"tensor": build_model(1.0, 1, a), "j": j, "kappa": 1.0, "tau": 1, "skew": a}
 
 
 def block_diagonal_skew(d: int, scales) -> np.ndarray:

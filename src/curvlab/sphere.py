@@ -27,7 +27,7 @@ from .linalg import (
     require_skew,
     require_unit,
     require_within,
-    scale_of,
+    threshold,
 )
 
 _SAMPLE_TOL = 1e-10
@@ -162,7 +162,7 @@ def distribution_at(a, s, tol: float = DEFAULT_TOL) -> Subspace:
         raise ZeroOperator("distribution requires a nonzero skew operator")
     s = require_unit(s)
     image = a @ s
-    if float(np.linalg.norm(image)) <= tol * scale_of(a):
+    if float(np.linalg.norm(image)) <= threshold(tol, a):
         spanning = [s]
     else:
         spanning = [s, image]
@@ -292,7 +292,7 @@ def sphere_structure_check(a, k, m, big_t: float, tol: float = DEFAULT_TOL) -> f
     for name, v in (("k", k), ("m", m)):
         require_within(abs(float(np.linalg.norm(v)) - 1.0), _SAMPLE_TOL, PreconditionViolated,
                        f"{name} must be a unit vector: |norm - 1|")
-    require_within(float(np.linalg.norm(a @ k)), tol * scale_of(a), PreconditionViolated,
+    require_within(float(np.linalg.norm(a @ k)), threshold(tol, a), PreconditionViolated,
                    "k must lie in the kernel of the operator: |Ak|")
     require_within(float(np.linalg.norm(kernel.projector() @ m)), tol, PreconditionViolated,
                    "m must be orthogonal to the kernel: its kernel component")

@@ -16,19 +16,26 @@ from curvlab import (
     NumericalFailure,
     Subspace,
     almost_isotropy_scan,
+    analyze_b_operator,
     build_model,
     build_r1,
     build_ra,
+    commute_type,
+    distribution_at,
     eigenspace_at,
+    einstein_check,
     extremal_curvature,
     kappa_at,
+    nullity_space,
     random_skew,
     recover_decomposition,
     save_tensor,
+    sphere_structure_check,
     standard_complex_structure,
     unit_sphere_samples,
 )
 from curvlab.isotropy import _median, _spectra_on_complement
+from curvlab.linalg import null_space
 from curvlab.lemmas import extremal_deviation
 from curvlab.models import (
     block_diagonal_skew,
@@ -74,8 +81,19 @@ def test_bad_tolerance_rejected(entry, tol):
     [
         lambda tol: kappa_at(build_r1(4), np.eye(4)[0], tol=tol),
         lambda tol: eigenspace_at(build_r1(4), 1.0, np.eye(4)[0], tol=tol),
+        lambda tol: nullity_space(build_r1(4), tol=tol),
+        lambda tol: null_space(np.eye(3), tol=tol),
+        lambda tol: Subspace.span([np.eye(3)[0]], tol=tol),
+        lambda tol: commute_type(standard_complex_structure(4), standard_complex_structure(4), tol),
+        lambda tol: analyze_b_operator(standard_complex_structure(4), standard_complex_structure(4), tol),
+        lambda tol: einstein_check(build_r1(4), tol=tol),
+        lambda tol: distribution_at(block_diagonal_skew(4, [1.0]), np.eye(4)[0], tol=tol),
+        lambda tol: sphere_structure_check(block_diagonal_skew(4, [1.0]), np.eye(4)[3],
+                                           np.eye(4)[0], 0.5, tol=tol),
     ],
-    ids=["kappa_at", "eigenspace_at"],
+    ids=["kappa_at", "eigenspace_at", "nullity_space", "null_space", "Subspace.span",
+         "commute_type", "analyze_b_operator", "einstein_check", "distribution_at",
+         "sphere_structure_check"],
 )
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
 def test_per_sample_bad_tolerance_rejected(entry, tol):
