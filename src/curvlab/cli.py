@@ -3,9 +3,9 @@
 Subcommands: generate, classify, decompose, fit-distribution, lemma-suite.
 Exit codes: 0 success, 1 unreadable or malformed input (usage errors
 included), 2 mathematical rejection (not almost isotropic, not Kahler,
-broken convention or structure) or a numerical failure.  The environment
-variable CURVLAB_TOL overrides the default tolerance of 1e-9; a --tol flag
-overrides both.
+broken convention or structure) or a numerical failure.  For classify and
+decompose, the environment variable CURVLAB_TOL overrides the default
+tolerance of 1e-9, and a --tol flag overrides both.
 
 Each subcommand loads only the modules it runs: the library functions in
 ``_LAZY`` are module attributes imported on first use, and the commands
@@ -114,7 +114,6 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
 
 
 def cmd_generate(args) -> int:
-    tol = _resolve_tol(args.tol)
     if args.dim < 2:  # before the A-spec, which would report it as a rejection
         raise ParseError(f"dimension must be at least 2, got {args.dim}")
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
@@ -131,7 +130,6 @@ def cmd_generate(args) -> int:
             "tau": args.tau,
             "A": args.skew_spec,
         },
-        "tolerance": tol,
         "output": {"path": str(args.out), "sha256": cio.file_digest(args.out)},
         "results": {"lambda_range": sorted([args.kappa, lam_edge])},
         "status": "ok",
@@ -276,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--A", dest="skew_spec", default="zero",
                      help="'zero', 'J', 'random:SEED', or a path to a matrix JSON file")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--tol", type=float, default=None)
     gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.set_defaults(func=cmd_generate)
 

@@ -13,7 +13,7 @@ normalized so that tau = 0 exactly when A = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,9 @@ from .errors import (
     ConventionViolation,
     DimensionMismatch,
     NonFiniteComponents,
+    NotKahler,
     NotOrthonormal,
+    SymmetryViolation,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -31,6 +33,7 @@ from .linalg import (
     require_orthonormal,
     require_skew,
     require_unit,
+    require_within,
 )
 
 
@@ -42,11 +45,14 @@ class CurvatureTensor:
     :func:`validate_symmetries` to measure them.  This keeps deliberately
     perturbed tensors constructible for testing and validation.  Non-finite
     components are rejected with ``NonFiniteComponents``, since a NaN
-    residual would pass every tolerance comparison.
+    residual would pass every tolerance comparison.  ``max_abs``, the
+    largest absolute entry, is set from the same two reductions; changing
+    ``components`` in place after construction defeats both.
     """
 
     dim: int
     components: np.ndarray
+    max_abs: float = field(init=False, repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.components, dtype=float)
@@ -56,13 +62,11 @@ class CurvatureTensor:
             raise ValueError(
                 f"components must have shape {(self.dim,) * 4}, got {c.shape}"
             )
-        if not (np.isfinite(c.max()) and np.isfinite(c.min())):  # NaN propagates
+        top, bottom = c.max(), c.min()
+        if not (np.isfinite(top) and np.isfinite(bottom)):  # NaN propagates
             raise NonFiniteComponents("components must be finite (found NaN or inf)")
         object.__setattr__(self, "components", c)
-
-    @property
-    def max_abs(self) -> float:
-        return _max_abs(self.components)
+        object.__setattr__(self, "max_abs", abs(float(max(top, -bottom))))
 
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
@@ -110,6 +114,20 @@ class SymmetryReport:
             self.bianchi_residual,
         )
 
+    def require(self, limit: float, where: str = "") -> None:
+        """Raise unless every measured residual is within ``limit``.
+
+        The first failing base identity raises ``SymmetryViolation``, named
+        after ``where``; then a measured Kahler residual raises ``NotKahler``.
+        """
+        for name, resid in (("antisymmetry", self.antisymmetry_residual),
+                            ("pair-exchange", self.pair_exchange_residual),
+                            ("first Bianchi", self.bianchi_residual)):
+            require_within(resid, limit, SymmetryViolation,
+                           f"{where}{name} identity fails with residual")
+        if self.kahler_residual is not None:
+            require_within(self.kahler_residual, limit, NotKahler, "Kahler residual")
+
 
 def _max_abs(x: np.ndarray) -> float:
     """max |x| over all entries, read in two reductions with no |x| temporary."""
@@ -155,7 +173,7 @@ def _model_conventions(kappa: float, tau: int, a, dim: int | None):
 
     tau must be -1, 0, or +1, and tau = 0 exactly when A = 0 (any overall
     scale belongs in A, not tau).  When tau = 0 the operator may be omitted
-    and ``dim`` given instead.
+    and ``dim`` given instead.  A non-finite kappa is NonFiniteComponents.
     """
     if tau not in (-1, 0, 1):
         raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
@@ -173,7 +191,10 @@ def _model_conventions(kappa: float, tau: int, a, dim: int | None):
         raise ConventionViolation("tau = 0 requires A = 0")
     if tau != 0 and is_zero:
         raise ConventionViolation("tau != 0 requires a nonzero A")
-    return float(kappa), int(tau), a
+    kappa = float(kappa)
+    if not np.isfinite(kappa):
+        raise NonFiniteComponents("components must be finite (found NaN or inf)")
+    return kappa, int(tau), a
 
 
 def _model_tensor(kappa: float, tau: int, a: np.ndarray) -> CurvatureTensor:
@@ -190,8 +211,6 @@ def _model_tensor(kappa: float, tau: int, a: np.ndarray) -> CurvatureTensor:
     try:
         return CurvatureTensor(d, comp)
     except NonFiniteComponents:
-        if not np.isfinite(kappa):
-            raise
         raise NonFiniteComponents(_OVERFLOW) from None
 
 
@@ -210,8 +229,6 @@ class ModelSlabs:
     def __init__(self, kappa: float, tau: int, a=None, dim: int | None = None):
         self.kappa, self.tau, self.skew = _model_conventions(kappa, tau, a, dim)
         self.dim = self.skew.shape[0]
-        if not np.isfinite(self.kappa):
-            raise NonFiniteComponents("components must be finite (found NaN or inf)")
         with np.errstate(over="ignore", invalid="ignore"):
             for slab in self:
                 if not (np.isfinite(slab.max()) and np.isfinite(slab.min())):

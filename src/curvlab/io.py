@@ -13,11 +13,13 @@ for its 1,048,576 entries.  The save is one pass over the slabs R[i], and
 takes a model's slabs from ``curvature.ModelSlabs`` as they are computed,
 so writing a model never holds its d^4 array.  Extra memory is the table,
 31 bytes per class (3.6 MiB at d=32), one slab and one chunk.
-``load_tensor`` reads the file in pieces of 64 Ki characters and parses
-the components into one float64 array, so beyond that array it needs
-O(64 KiB) of text and floats; any file the piecewise reader does not
-accept goes to the whole-text parse, which alone decides a malformed file
-and words its error.
+``load_tensor`` reads a file in the layout ``save_tensor`` writes (the
+files of ``generate`` and the benchmark) in pieces of 64 Ki characters and
+parses the components into one float64 array, so beyond that array it
+needs O(64 KiB) of text and floats.  Any other layout, and any malformed
+file, goes to the whole-text parse, which gives the same results and
+errors and alone words them, with the whole text and a list of d^4 floats
+in memory (about 55 MiB traced at d=32).
 Reports render to either human-readable text or a stable machine-readable
 JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
 ``load_samples`` import the curvature and sphere modules when first called,
@@ -30,13 +32,12 @@ import hashlib
 import json
 from array import array
 from itertools import chain
-from json.decoder import WHITESPACE, scanstring
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported, SymmetryViolation
-from .linalg import DEFAULT_TOL, require_tol, require_within, threshold
+from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported
+from .linalg import DEFAULT_TOL, require_tol, threshold
 
 if TYPE_CHECKING:
     from .curvature import CurvatureTensor, ModelSlabs
@@ -79,105 +80,54 @@ def _read_json(path) -> tuple[dict, bool]:
 # with 64 Ki pieces and 20 ms with 1 Mi (17 ms for the whole text at once);
 # d=32 took 245 and 260 ms.
 _PIECE = 2**16
-_DECODER = json.JSONDecoder()
-
-
-class _Window:
-    """The text of an open file, seen through a buffer that holds the next piece."""
-
-    def __init__(self, handle):
-        self.handle, self.text, self.pos = handle, "", 0
-
-    def next_char(self) -> str:
-        """Skip whitespace and return the next character, "" past the buffer's end.
-
-        The buffer is refilled first, so at least ``_PIECE`` characters (or
-        the rest of the file) follow ``pos``; a member that does not fit is
-        cut short and fails to parse.
-        """
-        if len(self.text) - self.pos < _PIECE:
-            self.text = self.text[self.pos:] + self.handle.read(_PIECE)
-            self.pos = 0
-        self.pos = WHITESPACE.match(self.text, self.pos).end()
-        return self.text[self.pos:self.pos + 1]
-
-    def expect(self, char: str) -> None:
-        if self.next_char() != char:
-            raise ValueError(f"expected {char!r}")
-        self.pos += 1
-
-
-def _stream_numbers(window: _Window) -> np.ndarray:
-    """The flat number list that starts at ``window.pos``, as one float64 array.
-
-    The list is cut at its last comma in the buffer, and each piece is read
-    by ``json.loads`` into one ``array("d")``, which ``np.frombuffer`` wraps
-    without a copy.  A piece parsed on its own reads the same tokens as the
-    whole text: the first piece starts outside any string, and a piece that
-    parses also ends outside one.  Raises ValueError, TypeError or
-    OverflowError for anything but numbers: an empty piece (an empty list,
-    ``1,,2`` or a trailing comma), a piece with no comma or "]" in a
-    buffer's length, a piece that fails to parse (a cut string or nested
-    list), a value ``array("d")`` refuses (strings, null, lists, objects,
-    integers beyond the float range), and a "u" or an "l", which no number
-    holds but ``true`` and ``false`` do.
-    """
-    numbers = array("d")
-    window.expect("[")
-    while True:
-        window.next_char()
-        text, start = window.text, window.pos
-        end = text.find("]", start)
-        cut = end if end >= 0 else text.rfind(",", start)
-        if cut < 0:
-            raise ValueError("piece longer than the buffer")
-        piece = text[start:cut]
-        if "u" in piece or "l" in piece:
-            raise ValueError("may hold true, false or null")
-        values = json.loads("[" + piece + "]")
-        if not values:
-            raise ValueError("empty piece")
-        numbers.fromlist(values)
-        window.pos = cut + 1
-        if end >= 0:
-            return np.frombuffer(numbers)
+# The text ``save_tensor`` writes before the first component.
+_HEAD = f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    '
 
 
 def _stream_tensor_json(path) -> tuple[dict, bool] | None:
-    """``_read_json`` for a tensor file, read one piece of text at a time.
+    """``_read_json`` for a file in the layout ``save_tensor`` writes, read one piece at a time.
 
-    Keys are read by json's ``scanstring`` and every member but the
-    components by ``JSONDecoder.raw_decode``, so they parse as in the whole
-    text, and a later duplicate key wins as it does there.  Returns None
-    where the whole-text parse must decide, which then reads the file
-    again: anything but one object with exactly one ``components`` member,
-    a flat list of numbers, and nothing after it.  That includes invalid
-    JSON or UTF-8 and a BOM.  NaN and Infinity are read as numbers, as the
-    whole-text parse reads them.
+    The file must start with ``_HEAD``.  The component list is cut at its
+    first "]", else at the last comma of each piece, and each piece is read
+    by ``json.loads`` into one ``array("d")``, which ``np.frombuffer`` wraps
+    without a copy; the members after the list are read whole, as one small
+    object.  Returns None where the whole-text parse must decide, which
+    then reads the file again: another head (other whitespace or key order,
+    a BOM), a piece with no cut, an empty piece, a piece with a "u" or an
+    "l" (``true``, ``false``, ``null``), a value that is not a number, and
+    members after the list that do not follow a comma, that name "basis" or
+    "components" again, or hold a backslash (a duplicate or escaped key
+    could rename a member).  Invalid JSON or UTF-8 anywhere also returns
+    None.  NaN and Infinity are read as numbers, as the whole-text parse
+    reads them.
     """
-    data = {}
+    numbers, rest = array("d"), ""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            window = _Window(handle)
-            window.expect("{")
-            separator = ","
-            while separator == ",":
-                window.expect('"')
-                key, window.pos = scanstring(window.text, window.pos)
-                window.expect(":")
-                if key != "components":
-                    window.next_char()
-                    data[key], window.pos = _DECODER.raw_decode(window.text, window.pos)
-                elif key in data:
-                    raise ValueError("duplicate components")
-                else:
-                    data[key] = _stream_numbers(window)
-                separator = window.next_char()
-                window.pos += 1
-            if separator != "}" or window.next_char() or window.handle.read(1):
-                raise ValueError("not one object")
+            if handle.read(len(_HEAD)) != _HEAD:
+                return None
+            while True:
+                piece = rest + handle.read(_PIECE)
+                end = piece.find("]")
+                cut = end if end >= 0 else piece.rfind(",")
+                if cut < 0 or "u" in piece[:cut] or "l" in piece[:cut]:
+                    return None
+                values = json.loads("[" + piece[:cut] + "]")
+                if not values:
+                    return None
+                numbers.fromlist(values)
+                rest = piece[cut + 1:]
+                if end >= 0:
+                    break
+            rest = (rest + handle.read()).lstrip(" \t\n\r")
+        if rest[:1] != "," or '"basis"' in rest or '"components"' in rest or "\\" in rest:
+            return None
+        data = json.loads("{" + rest[1:])
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
+    if not data:  # "]," then "}": a trailing comma
+        return None
+    data["basis"], data["components"] = TENSOR_BASIS, np.frombuffer(numbers)
     return data, False
 
 
@@ -339,7 +289,7 @@ def save_tensor(r: CurvatureTensor | ModelSlabs, path) -> None:
     pair[iu, ju] = pair[ju, iu] = rows[:-1]
     step, width = max(1, _CHUNK // d**2), 1
     with open(path, "wb") as handle:
-        handle.write(f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    '.encode())
+        handle.write(_HEAD.encode())
         for i, slab in enumerate(getattr(r, "components", r)):
             width = max(width, _fill_class_rows(
                 slab, range(starts[i], starts[i + 1]), iu, ju, first, table))
@@ -362,10 +312,10 @@ def save_tensor(r: CurvatureTensor | ModelSlabs, path) -> None:
 def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     """Load and validate a tensor file; symmetry failures name the identity.
 
-    The file is read in pieces (see ``_stream_tensor_json``): memory beyond
-    the returned tensor is O(64 KiB).  A file the
-    piecewise reader does not accept is parsed whole, and that parse
-    decides its error.
+    A file in the layout ``save_tensor`` writes is read in pieces (see
+    ``_stream_tensor_json``): memory beyond the returned tensor is
+    O(64 KiB).  Any other file is parsed whole, with the same result, and
+    that parse decides its error.
     """
     from .curvature import CurvatureTensor, validate_symmetries
 
@@ -389,13 +339,7 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
         tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
     except NonFiniteComponents as exc:
         raise ParseError(f"{path}: components: values must be finite") from exc
-    report = validate_symmetries(tensor)
-    limit = threshold(tol, tensor.max_abs)
-    for name, resid in (("antisymmetry", report.antisymmetry_residual),
-                        ("pair-exchange", report.pair_exchange_residual),
-                        ("first Bianchi", report.bianchi_residual)):
-        require_within(resid, limit, SymmetryViolation,
-                       f"{path}: {name} identity fails with residual")
+    validate_symmetries(tensor).require(threshold(tol, tensor.max_abs), f"{path}: ")
     return tensor
 
 

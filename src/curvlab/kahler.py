@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureTensor, ricci, validate_symmetries
-from .errors import (
-    InconsistentTau,
-    NotKahler,
-    SignResolutionFailure,
-    StructureViolation,
-    SymmetryViolation,
-)
+from .errors import InconsistentTau, SignResolutionFailure, StructureViolation
 from .isotropy import recover_decomposition
 from .linalg import (
     DEFAULT_TOL,
@@ -153,19 +147,16 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
 
     The tensor is re-validated from scratch: curvature symmetries, the
     Kahler symmetry, almost isotropy, and every structural consequence of
-    the case analysis.  Raises ``NotKahler`` when the Kahler residual
+    the case analysis.  Raises ``SymmetryViolation`` naming the first
+    failing curvature identity, ``NotKahler`` when the Kahler residual
     exceeds tolerance, ``NotAlmostIsotropic`` when the rank condition
     fails, and ``StructureViolation`` when the classification constraints
     are violated (which signals the input is not a genuine Kahler almost
     isotropic tensor even though both screens passed numerically).
     """
-    max_abs = r.max_abs
-    limit = threshold(tol, max_abs)
+    limit = threshold(tol, r.max_abs)
     j = require_complex_structure(j)
-    report = validate_symmetries(r, j)
-    require_within(report.worst_base_residual, limit, SymmetryViolation,
-                   "curvature symmetries fail: worst residual")
-    require_within(report.kahler_residual, limit, NotKahler, "Kahler residual")
+    validate_symmetries(r, j).require(limit)
 
     try:
         decomposition = recover_decomposition(r, tol)
@@ -179,7 +170,7 @@ def classify_kahler(r: CurvatureTensor, j, tol: float = DEFAULT_TOL) -> KahlerCl
 
     if tau == 0:
         # an isotropic Kahler tensor in dimension >= 4 must vanish
-        require_within(max_abs, limit, StructureViolation, "isotropic (tau = 0) "
+        require_within(r.max_abs, limit, StructureViolation, "isotropic (tau = 0) "
                        "Kahler tensor must vanish in dimension >= 4: largest entry")
         return Case4(c=0.0, w=Subspace.empty(d))
 

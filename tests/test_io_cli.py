@@ -335,6 +335,13 @@ def _first_component(token):
     return edit
 
 
+def _comma_ending_a_piece(text):
+    """A trailing comma in the component list, padded to be the last character of a piece."""
+    end = text.index("\n  ]")
+    pieces = -(-(end + 1 - len(cio._HEAD)) // cio._PIECE)
+    return text[:end] + " " * (len(cio._HEAD) + pieces * cio._PIECE - 1 - end) + "," + text[end:]
+
+
 # Edits of a canonical d=3 tensor file.  Each names what the piecewise
 # reader must parse as the whole-text parse does, or leave to it.
 TEXT_EDITS = {
@@ -370,10 +377,20 @@ TEXT_EDITS = {
         "0." + "0" * 2 * cio._PIECE)(text),
     "whitespace longer than the read size": lambda text: text.replace(
         '"dim"', " " * 2 * cio._PIECE + '"dim"'),
+    "CRLF line endings": lambda text: text.replace("\n", "\r\n"),
+    "member after the list": lambda text: text.replace(
+        '"convention"', '"note": {"k": [1, 2]},\n  "convention"'),
+    "basis after the list": lambda text: text.replace(
+        '"convention"', '"basis": "other",\n  "convention"'),
+    "escaped key after the list": lambda text: text.replace('"dim"', '"\\u0064im"'),
+    "no member after the list": lambda text: text[:text.index("]") + 2] + "\n}\n",
+    "trailing comma ending a piece": _comma_ending_a_piece,
+    "form feed after the list": lambda text: text.replace("\n  ],", "\n  ]\f,"),
 }
 
-STREAMED = {"canonical", "shuffled keys", "tabs and carriage returns", "escaped key",
-            "large member first", "NaN", "Infinity", "integer"}
+# Edits that keep the layout save_tensor writes, which the piecewise reader reads.
+STREAMED = {"canonical", "NaN", "Infinity", "integer", "whitespace longer than the read size",
+            "CRLF line endings", "member after the list"}
 
 
 def _outcome(load, path):
@@ -398,13 +415,16 @@ class TestPiecewiseLoader:
         path = tmp_path / "edited.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert _outcome(load_tensor, path) == _outcome(oracle_load_tensor, path)
-        # a member longer than a small piece is left to the whole-text parse
-        streamed = edit in STREAMED and not (piece and edit == "large member first")
-        assert (cio._stream_tensor_json(path) is not None) == streamed
+        assert (cio._stream_tensor_json(path) is not None) == (edit in STREAMED)
 
-    def test_model_file_read_in_many_pieces(self, tmp_path, monkeypatch):
-        tensor = build_model(-0.7, -1, random_skew(8, 3))
-        save_tensor(tensor, tmp_path / "tensor.json")
+    @pytest.mark.parametrize("source", [build_model, ModelSlabs])
+    @pytest.mark.parametrize("kappa, tau", [(0.7, 1), (-0.0, -1), (0.7, 0)])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_model_file_read_in_many_pieces(self, tmp_path, monkeypatch, source, kappa, tau, d):
+        # every file save_tensor writes takes the piecewise reader
+        a = random_skew(d, 3) if tau else None
+        tensor = build_model(kappa, tau, a, dim=d)
+        save_tensor(source(kappa, tau, a, dim=d), tmp_path / "tensor.json")
         monkeypatch.setattr(cio, "_PIECE", 100)
         data, _ = cio._stream_tensor_json(tmp_path / "tensor.json")
         assert data["components"].tobytes() == tensor.components.tobytes()
@@ -684,6 +704,14 @@ class TestCliContract:
 
         report = almost_isotropy_scan(load_tensor(out))
         assert report.is_almost_isotropic
+
+    def test_generate_has_no_tolerance(self, tmp_path):
+        # nothing in generate is compared with a tolerance
+        args = ("generate", "--dim", "4", "--kappa", "1", "--tau", "0",
+                "--out", str(tmp_path / "t.json"), "--format", "json")
+        refused = run_cli(*args, "--tol", "1e-9")
+        assert refused.returncode == 1 and "usage:" in refused.stderr
+        assert "tolerance" not in json.loads(run_cli(*args).stdout)
 
     def test_corrupt_file_exits_one(self, tmp_path):
         path = tmp_path / "corrupt.json"
