@@ -9,12 +9,14 @@ A, then times each stage on it.  A stage's time is the median of
 file in a temporary directory, which ``io.load_tensor_s`` reads back;
 ``io.save_tensor_model_s`` writes the same bytes from the model's
 ``ModelSlabs``, as ``generate`` does: its finiteness sweep, then each slab
-computed as it is written;
-``io.load_samples_s`` reads back the samples that ``save_samples`` wrote
-there.  Two rows time whole CLI processes: ``cli.teardown_s`` is the time
-from a child's ``main()`` raising ``SystemExit`` (a ``decompose`` of the
-file ``io.load_tensor_s`` reads, whose ``finally`` prints ``time.time()``
-to stderr) to this process seeing the child exit, and ``cli.startup_s``
+computed as it is written.  ``io.load_tensor_v1_s`` reads the same model
+from a schema 1 file that ``json.dump(payload, indent=2, sort_keys=True)``
+wrote, the layout of the benchmark's files and of files written before
+schema 2; ``io.load_samples_s`` reads back the samples that
+``save_samples`` wrote there.  Two rows time whole CLI processes:
+``cli.teardown_s`` is the time from a child's ``main()`` raising
+``SystemExit`` (a ``decompose`` of the file ``io.load_tensor_s`` reads,
+whose ``finally`` prints ``time.time()`` to stderr) to this process seeing the child exit, and ``cli.startup_s``
 is the wall time of ``python -m curvlab.cli --help``, which does not
 depend on d and is reported once.  Stages that the benchmark traces use
 its per-layer names from BENCHMARK.json; the Jacobi operators (one call
@@ -31,7 +33,7 @@ Prints one JSON object: {"dims": [...], "repeats": n, "cli.startup_s":
 median seconds, "seconds": {stage: {d: median seconds}},
 "tracemalloc_peak_mib": {"io.save_tensor": {d: MiB},
 "io.save_tensor_model": {d: MiB}, "io.load_tensor": {d: MiB},
-"io.load_samples": {d: MiB}}}.  Run it as
+"io.load_tensor_v1": {d: MiB}, "io.load_samples": {d: MiB}}}.  Run it as
 
     PYTHONPATH=src python scripts/layer_timings.py --dims 4,8,16,32,48
 """
@@ -70,11 +72,12 @@ from curvlab import (  # noqa: E402
     validate_symmetries,
 )
 from curvlab.curvature import ModelSlabs  # noqa: E402
+from curvlab.io import TENSOR_BASIS, TENSOR_CONVENTION  # noqa: E402
 from curvlab.models import distribution_samples  # noqa: E402
 
 KAPPA = 0.7
 TRACED_STAGES = ("io.save_tensor_s", "io.save_tensor_model_s", "io.load_tensor_s",
-                 "io.load_samples_s")
+                 "io.load_tensor_v1_s", "io.load_samples_s")
 
 
 def stages(d: int, directory: Path):
@@ -88,12 +91,19 @@ def stages(d: int, directory: Path):
     samples = distribution_samples(a, points)
     path = directory / f"model-d{d}.json"
     save_tensor(tensor, path)
+    v1_path = directory / f"model-v1-d{d}.json"
+    with open(v1_path, "w", encoding="utf-8") as handle:
+        json.dump({"schema_version": 1, "dim": d, "components": tensor.components.ravel().tolist(),
+                   "basis": TENSOR_BASIS, "convention": TENSOR_CONVENTION},
+                  handle, indent=2, sort_keys=True)
+        handle.write("\n")
     samples_path = directory / f"samples-d{d}.json"
     save_samples(samples, samples_path)
     return [
         ("io.save_tensor_s", lambda: save_tensor(tensor, path)),
         ("io.save_tensor_model_s", lambda: save_tensor(ModelSlabs(KAPPA, 1, a), path)),
         ("io.load_tensor_s", lambda: load_tensor(path)),
+        ("io.load_tensor_v1_s", lambda: load_tensor(v1_path)),
         ("io.load_samples_s", lambda: load_samples(samples_path)),
         ("curvature.build_model_s", lambda: build_model(KAPPA, 1, a)),
         ("curvature.validate_symmetries_s", lambda: validate_symmetries(tensor)),

@@ -68,24 +68,29 @@ class CurvatureTensor:
         object.__setattr__(self, "components", c)
         object.__setattr__(self, "max_abs", abs(float(max(top, -bottom))))
 
+    def _with(self, compute):
+        """The tensor of ``compute()``; a result beyond the float range raises NonFiniteComponents."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CurvatureTensor(self.dim, compute())
+
     def __add__(self, other):
         if not isinstance(other, CurvatureTensor):
             return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatch("cannot add tensors of different dimensions")
-        return CurvatureTensor(self.dim, self.components + other.components)
+        return self._with(lambda: self.components + other.components)
 
     def __sub__(self, other):
         if not isinstance(other, CurvatureTensor):
             return NotImplemented
         if other.dim != self.dim:
             raise DimensionMismatch("cannot subtract tensors of different dimensions")
-        return CurvatureTensor(self.dim, self.components - other.components)
+        return self._with(lambda: self.components - other.components)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):
             return NotImplemented
-        return CurvatureTensor(self.dim, float(scalar) * self.components)
+        return self._with(lambda: float(scalar) * self.components)
 
     __rmul__ = __mul__
 

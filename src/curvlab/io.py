@@ -1,25 +1,20 @@
 """JSON file formats for tensors and distribution samples, plus reports.
 
-Tensor components are stored as a flat row-major list of finite floats, one
-per line; Python's shortest round-trip float serialization makes save -> load
-bitwise exact.  ``save_tensor`` writes that layout a chunk of entries at a
-time, and its bytes equal those of ``json.dump(payload, indent=2,
-sort_keys=True)`` plus a newline, so files and their sha256 digests match
-earlier versions.  The curvature symmetries make each entry equal, up to
-sign, to one of m(m+1)/2 class values (m = d(d-1)/2), so the save formats
-each class once into a table and copies its text to every entry that has
-exactly its magnitude: a dense d=32 save calls ``repr`` about 250k times
-for its 1,048,576 entries.  The save is one pass over the slabs R[i], and
-takes a model's slabs from ``curvature.ModelSlabs`` as they are computed,
-so writing a model never holds its d^4 array.  Extra memory is the table,
-31 bytes per class (3.6 MiB at d=32), one slab and one chunk.
-``load_tensor`` reads a file in the layout ``save_tensor`` writes (the
-files of ``generate`` and the benchmark) in pieces of 64 Ki characters and
-parses the components into one float64 array, so beyond that array it
-needs O(64 KiB) of text and floats.  Any other layout, and any malformed
+``save_tensor`` writes tensor files of schema 2: ``components_base64`` is
+the base64 of the C-order little-endian float64 array, so save -> load is
+bitwise exact, signed zeros included, and a d=32 file is 11.2 MB.  The
+save is one pass over the slabs R[i], and takes a model's slabs from
+``curvature.ModelSlabs`` as they are computed, so writing a model never
+holds its d^4 array; its bytes equal those of ``json.dump(payload,
+indent=2, sort_keys=True)`` plus a newline.  ``load_tensor`` reads schema
+2 and schema 1, whose ``components`` is a flat row-major list of numbers
+(the benchmark's files and files written before schema 2).  A file in the
+layout ``save_tensor`` writes, or in the json encoder's schema 1 layout,
+is read in pieces of 64 Ki characters into one float64 array, so beyond
+that array the load needs O(64 KiB).  Any other layout, and any malformed
 file, goes to the whole-text parse, which gives the same results and
-errors and alone words them, with the whole text and a list of d^4 floats
-in memory (about 55 MiB traced at d=32).
+errors and alone words them, with the whole text in memory (and, for
+schema 1, a list of d^4 floats: about 55 MiB traced at d=32).
 Reports render to either human-readable text or a stable machine-readable
 JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
 ``load_samples`` import the curvature and sphere modules when first called,
@@ -28,8 +23,10 @@ so a process that reads only one kind of file loads only one of them.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import os
 from array import array
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -43,7 +40,7 @@ if TYPE_CHECKING:
     from .curvature import CurvatureTensor, ModelSlabs
     from .sphere import DistributionSamples
 
-TENSOR_SCHEMA_VERSION = 1
+TENSOR_SCHEMA_VERSION = 2
 SAMPLES_SCHEMA_VERSION = 1
 TENSOR_BASIS = "orthonormal-standard"
 TENSOR_CONVENTION = "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>"
@@ -76,72 +73,118 @@ def _read_json(path) -> tuple[dict, bool]:
 
 
 # Characters of text the tensor reader parses at a time.  On one CPU of a
-# shared 2-core machine, a fresh process loaded a dense d=16 file in 16 ms
-# with 64 Ki pieces and 20 ms with 1 Mi (17 ms for the whole text at once);
-# d=32 took 245 and 260 ms.
+# shared 2-core machine, a fresh process loaded a dense d=16 schema 1 file
+# in 16 ms with 64 Ki pieces and 20 ms with 1 Mi (17 ms for the whole text
+# at once); d=32 took 245 and 260 ms.
 _PIECE = 2**16
-# The text ``save_tensor`` writes before the first component.
-_HEAD = f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components": [\n    '
+_PREFIX = f'{{\n  "basis": {json.dumps(TENSOR_BASIS)},\n  "components'
+# The text before the first component of a schema 1 file in the layout of
+# ``json.dump(payload, indent=2, sort_keys=True)``, which the benchmark and
+# earlier versions of ``save_tensor`` write.
+_HEAD = _PREFIX + '": [\n    '
+# The text ``save_tensor`` writes before the base64 of the components.
+_HEAD_BASE64 = _PREFIX + '_base64": "'
+
+
+def _read_numbers(handle) -> tuple[np.ndarray, str]:
+    """A schema 1 component list read after its "[": its values, and the text after its "]".
+
+    The list is cut at its first "]", else at the last comma of each piece,
+    and each piece is read by ``json.loads`` into one ``array("d")``, which
+    ``np.frombuffer`` wraps without a copy.  Raises ValueError or TypeError
+    at a piece with no cut, an empty piece, a piece with a "u" or an "l"
+    (``true``, ``false``, ``null``) and a value that is not a number.  NaN
+    and Infinity are read as numbers, as the whole-text parse reads them.
+    """
+    numbers, rest = array("d"), ""
+    while True:
+        piece = rest + handle.read(_PIECE)
+        end = piece.find("]")
+        cut = end if end >= 0 else piece.rfind(",")
+        if cut < 0 or "u" in piece[:cut] or "l" in piece[:cut]:
+            raise ValueError("not a list of numbers")
+        values = json.loads("[" + piece[:cut] + "]")
+        if not values:
+            raise ValueError("empty piece")
+        numbers.fromlist(values)
+        rest = piece[cut + 1:]
+        if end >= 0:
+            return np.frombuffer(numbers), rest
+
+
+def _read_base64(handle) -> tuple[np.ndarray, str]:
+    """A schema 2 components string read after its opening quote: its bytes, and the text after it.
+
+    Pieces of whole 4-character groups are decoded as the whole-text parse
+    decodes the string, by ``base64.b64decode(validate=True)``, straight
+    into one byte array sized from the file; ``load_tensor`` checks the
+    decoded length.  Raises ValueError at text that is not base64 (a JSON
+    escape among it), padding before the last piece and a string with no
+    end.
+    """
+    out = np.empty(os.fstat(handle.fileno()).st_size * 3 // 4, np.uint8)
+    filled, rest = 0, ""
+    while True:
+        read = handle.read(_PIECE)
+        piece = rest + read
+        end = piece.find('"')
+        cut = end if end >= 0 else len(piece) - len(piece) % 4
+        if not read or (end < 0 and "=" in piece[:cut]):
+            raise ValueError("not one base64 string")
+        decoded = base64.b64decode(piece[:cut], validate=True)
+        out[filled:filled + len(decoded)] = np.frombuffer(decoded, np.uint8)
+        filled += len(decoded)
+        rest = piece[cut:]
+        if end >= 0:
+            return out[:filled], rest[1:]
 
 
 def _stream_tensor_json(path) -> tuple[dict, bool] | None:
-    """``_read_json`` for a file in the layout ``save_tensor`` writes, read one piece at a time.
+    """``_read_json`` for a file in the layout of ``_HEAD`` or ``save_tensor``, read a piece at a time.
 
-    The file must start with ``_HEAD``.  The component list is cut at its
-    first "]", else at the last comma of each piece, and each piece is read
-    by ``json.loads`` into one ``array("d")``, which ``np.frombuffer`` wraps
-    without a copy; the members after the list are read whole, as one small
+    The file must start with ``_HEAD`` (schema 1) or ``_HEAD_BASE64``
+    (schema 2); its components are read by ``_read_numbers`` or
+    ``_read_base64``, and the members after them whole, as one small
     object.  Returns None where the whole-text parse must decide, which
     then reads the file again: another head (other whitespace or key order,
-    a BOM), a piece with no cut, an empty piece, a piece with a "u" or an
-    "l" (``true``, ``false``, ``null``), a value that is not a number, and
-    members after the list that do not follow a comma, that name "basis" or
-    "components" again, or hold a backslash (a duplicate or escaped key
+    a BOM), components those readers refuse, and members after the
+    components that do not follow a comma, that name "basis" or a
+    "components" key again, or hold a backslash (a duplicate or escaped key
     could rename a member).  Invalid JSON or UTF-8 anywhere also returns
-    None.  NaN and Infinity are read as numbers, as the whole-text parse
-    reads them.
+    None.
     """
-    numbers, rest = array("d"), ""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            if handle.read(len(_HEAD)) != _HEAD:
+            head = handle.read(len(_HEAD))
+            if head == _HEAD:
+                key, (value, rest) = "components", _read_numbers(handle)
+            elif head + handle.read(len(_HEAD_BASE64) - len(_HEAD)) == _HEAD_BASE64:
+                key, (value, rest) = "components_base64", _read_base64(handle)
+            else:
                 return None
-            while True:
-                piece = rest + handle.read(_PIECE)
-                end = piece.find("]")
-                cut = end if end >= 0 else piece.rfind(",")
-                if cut < 0 or "u" in piece[:cut] or "l" in piece[:cut]:
-                    return None
-                values = json.loads("[" + piece[:cut] + "]")
-                if not values:
-                    return None
-                numbers.fromlist(values)
-                rest = piece[cut + 1:]
-                if end >= 0:
-                    break
             rest = (rest + handle.read()).lstrip(" \t\n\r")
-        if rest[:1] != "," or '"basis"' in rest or '"components"' in rest or "\\" in rest:
+        if rest[:1] != "," or '"basis"' in rest or '"components' in rest or "\\" in rest:
             return None
         data = json.loads("{" + rest[1:])
     except (ValueError, TypeError, OverflowError, RecursionError):
         return None
     if not data:  # "]," then "}": a trailing comma
         return None
-    data["basis"], data["components"] = TENSOR_BASIS, np.frombuffer(numbers)
+    data["basis"], data[key] = TENSOR_BASIS, value
     return data, False
 
 
-def _require_version(data: dict, expected: int, path) -> None:
-    """Reject any schema_version but the integer ``expected``.
+def _require_version(data: dict, expected: tuple[int, ...], path) -> int:
+    """The schema_version, which must be one of the integers ``expected``.
 
     JSON ``true`` and ``1.0`` compare equal to 1 in Python, so the type is
     checked too: a version is an ``int`` that is not a ``bool``.
     """
     version = data.get("schema_version")
-    if type(version) is not int or version != expected:
-        raise SchemaVersionUnsupported(
-            f"{path}: schema_version {version!r} unsupported (expected {expected})"
-        )
+    if type(version) is not int or version not in expected:
+        raise SchemaVersionUnsupported(f"{path}: schema_version {version!r} unsupported "
+                                       f"(expected {' or '.join(map(str, expected))})")
+    return version
 
 
 def _numbers(values, ndim: int, may_hold_bool: bool) -> np.ndarray:
@@ -177,151 +220,62 @@ def _finite_floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.nda
     return arr
 
 
-_SEPARATOR = ",\n    "
-_MAGNITUDE_BITS = np.int64(2**63 - 1)
-# Bytes of the longest repr of a finite float, such as "2.2250738585072014e-308".
-_WIDTH = 23
-# Entries formatted and written at a time.
-_CHUNK = 2**13
-
-
-def _magnitude_text(bits: np.ndarray) -> np.ndarray:
-    """The repr of each magnitude in ``bits`` (float64 bit patterns, sign bit clear).
-
-    Returned as NUL-padded bytes as wide as the longest; each distinct
-    magnitude is formatted once.
-    """
-    distinct, index = np.unique(bits, return_inverse=True)
-    return np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype="S")[index]
-
-
-def _entries_text(values: np.ndarray, classes: np.ndarray, table) -> np.ndarray:
-    """The entries of ``values`` as the json encoder prints them, each followed by the separator.
-
-    ``table`` is a pair of arrays, the magnitude bits of some entries and
-    their ``_magnitude_text``; ``classes`` names each entry's row of the
-    table, or is -1.  An entry whose magnitude has exactly the bits of its
-    row takes the row's text, and every other entry is formatted here.  A
-    negative entry is written as "-" followed by its magnitude's repr:
-    CPython formats the sign apart from the digits, so ``"-" + repr(m) ==
-    repr(-m)`` for every finite ``m >= +0.0``.  Magnitudes are compared on
-    bit patterns, not float values, so -0.0 keeps its sign.  Each entry
-    fills one fixed-width record of sign, digits and separator, as narrow
-    as the longest digits allow, and the NUL bytes of the unused sign and
-    padding are compressed out.
-    """
-    bits = np.ascontiguousarray(values).reshape(-1).view(np.int64)
-    magnitudes = bits & _MAGNITUDE_BITS
-    table_bits, table_text = table
-    digits = table_text[classes]
-    miss = (classes < 0) | (table_bits[classes] != magnitudes)
-    if miss.any():
-        missed = _magnitude_text(magnitudes[miss])
-        digits = digits.astype(np.promote_types(digits.dtype, missed.dtype), copy=False)
-        digits[miss] = missed
-    lines = np.zeros(bits.size, [("sign", "u1"), ("digits", digits.dtype),
-                                 ("separator", f"S{len(_SEPARATOR)}")])
-    lines["sign"] = (bits < 0) * np.uint8(ord("-"))
-    lines["digits"] = digits
-    lines["separator"] = _SEPARATOR
-    text = lines.view(np.uint8)
-    return text[text != 0]
-
-
-def _fill_class_rows(slab, pairs: range, iu, ju, first, table) -> int:
-    """Fill the ``_entries_text`` table rows of the classes that ``slab`` represents.
-
-    Antisymmetry and pair exchange make each ``R[i, j, k, l]`` with i != j
-    and k != l equal, up to sign, to one class representative ``R[a, b, c,
-    e]``: a < b, c < e, and pair (a, b) <= (c, e) in the order of the m
-    pairs ``iu, ju = np.triu_indices(d, 1)``.  Class (p, q) is row
-    ``first[p] + q - p`` of the table, as in ``np.triu_indices(m)``, so the
-    classes of the pairs p = (i, b) of slab i are one run of rows, read
-    from ``slab[b, iu[p:], ju[p:]]``.  Nothing is assumed of the tensor: an
-    entry that misses its class is formatted on its own.  Magnitudes are
-    formatted ``_CHUNK`` classes at a time into ``_WIDTH`` bytes each;
-    returns the width of the longest text.
-    """
-    bits, text = table
-    for p in pairs:
-        bits[first[p]:first[p + 1]] = slab[ju[p], iu[p:], ju[p:]].view(np.int64)
-    rows = slice(first[pairs.start], first[pairs.stop])
-    bits[rows] &= _MAGNITUDE_BITS
-    width = 1
-    for start in range(rows.start, rows.stop, _CHUNK):
-        batch = _magnitude_text(bits[start:min(start + _CHUNK, rows.stop)])
-        text[start:start + batch.size], width = batch, max(width, batch.itemsize)
-    return width
-
-
 def save_tensor(r: CurvatureTensor | ModelSlabs, path) -> None:
-    """Write ``r`` in the tensor layout, one component per line, in one pass over its slabs.
+    """Write ``r`` as a schema 2 tensor file, in one pass over its slabs.
 
     ``r`` is a ``CurvatureTensor``, whose slabs are ``components[i]``, or a
     ``curvature.ModelSlabs``, which computes each slab as it is asked for,
-    so ``generate`` never holds the d^4 model.  The bytes equal those of
-    ``json.dump(payload, indent=2, sort_keys=True)`` plus a newline: json
-    prints a finite float with ``float.__repr__``, and components are
-    always finite.  The layout is written directly, about ``_CHUNK``
-    components at a time, which skips the pure-Python encoder.  ``repr``
-    runs once per distinct magnitude of the m(m+1)/2 curvature classes
-    (see ``_fill_class_rows``), and once per distinct magnitude of a chunk
-    for the entries that miss their class: the i = j and k = l entries,
-    and mirrored entries that differ by rounding (about 13% of a dense
-    ``build_model``).  Slab i first fills the table rows of its pairs
-    (i, b), then writes its entries; each names the class of two pairs,
-    the lesser of which starts at an index <= i, as the pair order is
-    lexicographic, so its row is filled already.  Extra memory is the
-    class table, 31 bytes per class (3.6 MiB at d=32, 18.8 MiB at d=48, so
-    O(d^4/8)), one slab of a ``ModelSlabs`` and one chunk of ``_CHUNK``
-    entries, or of d^2 when d > 90.
+    so ``generate`` never holds the d^4 model.  ``components_base64`` is the
+    base64 of the C-order little-endian float64 array, so save -> load is
+    bitwise exact, signed zeros included.  Each slab is encoded behind the
+    0 to 2 bytes the slab before left over, and only whole 3-byte groups
+    are encoded before the last slab, so the text is that of the whole
+    array.  The bytes equal those of ``json.dump(payload, indent=2,
+    sort_keys=True)`` plus a newline: base64 text needs no JSON escape.
+    Extra memory is one slab and its text.
     """
-    d = r.dim
-    iu, ju = np.triu_indices(d, 1)
-    rows = np.arange(iu.size + 1)
-    first = rows * (2 * iu.size - rows + 1) // 2
-    table = np.empty(first[-1], np.int64), np.empty(first[-1], f"S{_WIDTH}")
-    # pairs (i, b) of slab i run from starts[i] to starts[i + 1]
-    starts = np.searchsorted(iu, np.arange(d + 1))
-    # entry (i, j, k, l) has class (lo, hi), the pair indices of (i, j)
-    # and (k, l) in order, and none when i = j or k = l
-    pair = np.full((d, d), -1)
-    pair[iu, ju] = pair[ju, iu] = rows[:-1]
-    step, width = max(1, _CHUNK // d**2), 1
     with open(path, "wb") as handle:
-        handle.write(_HEAD.encode())
-        for i, slab in enumerate(getattr(r, "components", r)):
-            width = max(width, _fill_class_rows(
-                slab, range(starts[i], starts[i + 1]), iu, ju, first, table))
-            # the first ``width`` bytes of each text; a narrowed copy would
-            # double the table's memory while both exist
-            narrow = np.dtype({"names": ["text"], "formats": [f"S{width}"], "itemsize": _WIDTH})
-            narrowed = table[0], table[1].view(narrow)["text"]
-            for j in range(0, d, step):
-                lo = np.minimum(pair[i, j:j + step, None], pair.ravel())
-                hi = np.maximum(pair[i, j:j + step, None], pair.ravel())
-                classes = np.where(lo < 0, -1, first[lo] + hi - lo).reshape(-1)
-                text = _entries_text(slab[j:j + step], classes, narrowed)
-                handle.write(text[:-len(_SEPARATOR)] if i == d - 1 and j + step >= d else text)
+        handle.write(_HEAD_BASE64.encode())
+        carry = b""
+        for slab in getattr(r, "components", r):
+            data = carry + np.ascontiguousarray(slab, "<f8").tobytes()
+            whole = len(data) - len(data) % 3
+            handle.write(base64.b64encode(memoryview(data)[:whole]))
+            carry = data[whole:]
+        handle.write(base64.b64encode(carry))
         handle.write(
-            f'\n  ],\n  "convention": {json.dumps(TENSOR_CONVENTION)},\n'
-            f'  "dim": {d},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'.encode()
+            f'",\n  "convention": {json.dumps(TENSOR_CONVENTION)},\n'
+            f'  "dim": {r.dim},\n  "schema_version": {TENSOR_SCHEMA_VERSION}\n}}\n'.encode()
         )
 
 
-def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
-    """Load and validate a tensor file; symmetry failures name the identity.
+def _base64_floats(value, dim: int, path) -> np.ndarray:
+    """The dim^4 float64 values of a ``components_base64`` string, or of its bytes as ``_read_base64`` reads them."""
+    if isinstance(value, str):
+        try:  # a bytearray, so the array is writable, as every other load's is
+            value = bytearray(base64.b64decode(value, validate=True))
+        except ValueError as exc:
+            raise ParseError(f"{path}: components_base64: invalid base64 ({exc})") from exc
+    if not isinstance(value, (bytearray, np.ndarray)) or len(value) != 8 * dim**4:
+        raise ParseError(
+            f"{path}: components_base64 must be the base64 of dim^4 = {dim**4} float64 values"
+        )
+    return np.frombuffer(value, "<f8").astype(float, copy=False)
 
-    A file in the layout ``save_tensor`` writes is read in pieces (see
-    ``_stream_tensor_json``): memory beyond the returned tensor is
-    O(64 KiB).  Any other file is parsed whole, with the same result, and
-    that parse decides its error.
+
+def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
+    """Load and validate a tensor file of schema 1 or 2; symmetry failures name the identity.
+
+    A file in the layout ``save_tensor`` writes, or in the schema 1 layout
+    of ``_HEAD``, is read in pieces (see ``_stream_tensor_json``): memory
+    beyond the returned tensor is O(64 KiB).  Any other file is parsed
+    whole, with the same result, and that parse decides its error.
     """
     from .curvature import CurvatureTensor, validate_symmetries
 
     tol = require_tol(tol)
     data, may_hold_bool = _stream_tensor_json(path) or _read_json(path)
-    _require_version(data, TENSOR_SCHEMA_VERSION, path)
+    version = _require_version(data, (1, TENSOR_SCHEMA_VERSION), path)
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise ParseError(f"{path}: dim must be an integer >= 2, got {dim!r}")
@@ -329,12 +283,18 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
         raise ParseError(f"{path}: basis must be {TENSOR_BASIS!r}")
     if data.get("convention") != TENSOR_CONVENTION:
         raise ParseError(f"{path}: convention must be {TENSOR_CONVENTION!r}")
-    components = data.get("components")
-    if not isinstance(components, (list, np.ndarray)) or len(components) != dim**4:
+    key, other = ("components", "components_base64")[::1 if version == 1 else -1]
+    if other in data:
+        raise ParseError(f"{path}: schema_version {version} takes {key!r}, not {other!r}")
+    components = data.get(key)
+    if version != 1:
+        flat = _base64_floats(components, dim, path)
+    elif not isinstance(components, (list, np.ndarray)) or len(components) != dim**4:
         raise ParseError(
             f"{path}: components must be a list of dim^4 = {dim**4} numbers"
         )
-    flat = _floats(components, f"{path}: components", may_hold_bool, 1)
+    else:
+        flat = _floats(components, f"{path}: components", may_hold_bool, 1)
     try:  # the constructor's max and min find NaN and inf without a d^4 mask
         tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
     except NonFiniteComponents as exc:
@@ -361,7 +321,7 @@ def load_samples(path) -> DistributionSamples:
     from .sphere import DistributionSamples
 
     data, may_hold_bool = _read_json(path)
-    _require_version(data, SAMPLES_SCHEMA_VERSION, path)
+    _require_version(data, (SAMPLES_SCHEMA_VERSION,), path)
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise ParseError(f"{path}: dim must be an integer >= 2, got {dim!r}")

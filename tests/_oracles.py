@@ -6,6 +6,7 @@ two implementations can check each other.  File layouts are written with
 the standard library's json encoder.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -171,11 +172,29 @@ def oracle_fit_form(samples):
 
 
 def oracle_save_tensor(r, path):
-    """The tensor file as the json encoder writes it: the layout save_tensor must match."""
+    """The schema 1 tensor file as the json encoder writes it: the layout of the benchmark's files."""
     payload = {
         "schema_version": 1,
         "dim": r.dim,
         "components": r.components.ravel(order="C").tolist(),
+        "basis": "orthonormal-standard",
+        "convention": "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>",
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def oracle_save_tensor_base64(r, path):
+    """The schema 2 tensor file as the json encoder writes it: the layout save_tensor must match.
+
+    ``components_base64`` is the base64 of the whole C-order little-endian
+    float64 array, encoded in one call.
+    """
+    payload = {
+        "schema_version": 2,
+        "dim": r.dim,
+        "components_base64": base64.b64encode(r.components.astype("<f8").tobytes()).decode(),
         "basis": "orthonormal-standard",
         "convention": "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>",
     }

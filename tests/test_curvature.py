@@ -36,6 +36,7 @@ import curvlab.cli as cli
 from curvlab.curvature import ModelSlabs
 from curvlab.lemmas import ricci_deviation, symmetry_residual
 from curvlab.models import (
+    case2_instance,
     case4_instance,
     plane_operator,
     quaternion_j,
@@ -483,6 +484,17 @@ class TestBergerCheck:
             berger_check(build_r1(4), [np.eye(4)[0]] * 4, 0.0, 1.0)
 
 
+# tensor arithmetic whose result leaves the float range
+OVERFLOWS = {
+    "t * 2e307": lambda t: t * 2e307,
+    "2e307 * t": lambda t: 2e307 * t,
+    "t * inf": lambda t: t * float("inf"),
+    "t + t": lambda t: t * 1e307 + t * 1e307,
+    "t - t": lambda t: t * 1e307 - t * -1e307,
+    "-t - t": lambda t: -(t * 1e307) - t * 1e307,
+}
+
+
 class TestNonFiniteComponents:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_on_construction(self, bad):
@@ -523,3 +535,11 @@ class TestNonFiniteComponents:
     def test_arithmetic_cannot_produce_nan(self):
         with pytest.raises(NonFiniteComponents):
             build_r1(4) * float("nan")
+
+    @pytest.mark.parametrize("operation", list(OVERFLOWS))
+    def test_overflowing_arithmetic_rejected_without_warnings(self, operation):
+        tensor = case2_instance(0)["tensor"]  # max |R| is about 9.1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteComponents):
+                OVERFLOWS[operation](tensor)

@@ -1,10 +1,11 @@
 import gc
+import base64
 import hashlib
 import json
-import math
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,12 @@ from curvlab.curvature import ModelSlabs
 from curvlab.io import load_matrix, render_json
 from curvlab.models import block_diagonal_skew, case2_instance, distribution_samples
 
-from _oracles import oracle_load_tensor, oracle_model_einsum, oracle_save_tensor
+from _oracles import (
+    oracle_load_tensor,
+    oracle_model_einsum,
+    oracle_save_tensor,
+    oracle_save_tensor_base64,
+)
 
 
 # what the ``curvlab`` console script runs: main() with argv read from sys.argv
@@ -132,7 +138,7 @@ class TestTensorFiles:
     def test_bytes_match_json_encoder(self, tmp_path, d):
         tensor = build_model(0.7, 1, random_skew(d, d))
         save_tensor(tensor, tmp_path / "saved.json")
-        oracle_save_tensor(tensor, tmp_path / "oracle.json")
+        oracle_save_tensor_base64(tensor, tmp_path / "oracle.json")
         assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
     @pytest.mark.parametrize("transposed", [False, True])
@@ -144,7 +150,7 @@ class TestTensorFiles:
         comp = np.resize(np.array(edge), 3**4).reshape((3,) * 4)
         tensor = CurvatureTensor(3, comp.transpose(3, 1, 2, 0) if transposed else comp)
         save_tensor(tensor, tmp_path / "saved.json")
-        oracle_save_tensor(tensor, tmp_path / "oracle.json")
+        oracle_save_tensor_base64(tensor, tmp_path / "oracle.json")
         assert (tmp_path / "saved.json").read_bytes() == (tmp_path / "oracle.json").read_bytes()
 
     def test_save_memory_is_one_slab(self, tmp_path):
@@ -159,9 +165,10 @@ class TestTensorFiles:
         assert peak <= 8 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
     def test_load_memory_is_one_tensor(self, tmp_path):
-        # the 8 MiB array plus pieces of text; the whole text parsed at once
-        # held the text, a list of 2^20 floats and the array (55 MiB)
-        save_tensor(build_model(0.7, 1, random_skew(32, 1)), tmp_path / "tensor.json")
+        # a schema 1 file: the 8 MiB array plus pieces of text; the whole
+        # text parsed at once held the text, a list of 2^20 floats and the
+        # array (55 MiB)
+        oracle_save_tensor(build_model(0.7, 1, random_skew(32, 1)), tmp_path / "tensor.json")
         tracemalloc.start()
         try:
             load_tensor(tmp_path / "tensor.json")
@@ -189,7 +196,7 @@ def _block_skew(d):
 
 def _assert_bytes_match_oracle(tensor, directory):
     save_tensor(tensor, directory / "saved.json")
-    oracle_save_tensor(tensor, directory / "oracle.json")
+    oracle_save_tensor_base64(tensor, directory / "oracle.json")
     assert (directory / "saved.json").read_bytes() == (directory / "oracle.json").read_bytes()
 
 
@@ -225,23 +232,6 @@ class TestTensorWriter:
         assert magnitude or np.signbit(components).any()
         _assert_bytes_match_oracle(CurvatureTensor(4, components), tmp_path)
 
-    @given(magnitude=FINITE.map(lambda x: math.copysign(x, 1.0)))
-    def test_sign_is_formatted_apart_from_digits(self, magnitude):
-        assert "-" + repr(magnitude) == repr(-magnitude)
-
-    @given(pool=st.lists(FINITE, min_size=1, max_size=12),
-           picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=64),
-           rows=st.lists(st.integers(-1, 1 << 16), min_size=64, max_size=64))
-    def test_entries_text_matches_direct_format(self, pool, picks, rows):
-        # each entry names a row of a table of the pool's magnitudes, or no
-        # row; an entry that misses its row is formatted on its own
-        values = np.array([pool[pick % len(pool)] for pick in picks])
-        bits = np.abs(np.array(pool)).view(np.int64)
-        table = (bits, cio._magnitude_text(bits))
-        classes = np.array([row % len(pool) if row >= 0 else -1 for row in rows[:values.size]])
-        text = cio._entries_text(values, classes, table).tobytes().decode()
-        assert text == "".join(repr(value) + ",\n    " for value in values.tolist())
-
     def test_repeat_free_memory_is_one_slab(self, tmp_path):
         # no magnitude repeats: every entry but the class representatives
         # misses the class table and is formatted with its chunk
@@ -272,7 +262,7 @@ def _expanded_triangle(d, seed):
 
 
 class TestClassTable:
-    """save_tensor's table of curvature classes changes no byte of the file."""
+    """Tensors built from curvature classes, mirrored and signed, write the json encoder's bytes."""
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_fewest_classes(self, tmp_path, d):
@@ -281,15 +271,8 @@ class TestClassTable:
         _assert_bytes_match_oracle(CurvatureTensor(d, _expanded_triangle(d, 3)), tmp_path)
 
     @pytest.mark.parametrize("d", [4, 7])
-    def test_exactly_symmetric(self, tmp_path, monkeypatch, d):
-        # every entry off the i = j and k = l planes takes its class's text
-        formatted = []
-        magnitude_text = cio._magnitude_text
-        monkeypatch.setattr(cio, "_magnitude_text",
-                            lambda bits: formatted.append(bits.size) or magnitude_text(bits))
+    def test_exactly_symmetric(self, tmp_path, d):
         _assert_bytes_match_oracle(CurvatureTensor(d, _expanded_triangle(d, d)), tmp_path)
-        m = d * (d - 1) // 2
-        assert sum(formatted) == m * (m + 1) // 2 + 2 * d**3 - d**2
 
     @pytest.mark.parametrize("d", [4, 7])
     def test_mirrored_entries_one_ulp_apart(self, tmp_path, d):
@@ -410,7 +393,7 @@ class TestPiecewiseLoader:
         if piece is not None:  # pieces shorter than a line of the layout
             monkeypatch.setattr(cio, "_PIECE", piece)
         canonical = tmp_path / "canonical.json"
-        save_tensor(build_model(0.7, 1, random_skew(3, 2)), canonical)
+        oracle_save_tensor(build_model(0.7, 1, random_skew(3, 2)), canonical)
         text = TEXT_EDITS[edit](canonical.read_text())
         path = tmp_path / "edited.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -421,13 +404,164 @@ class TestPiecewiseLoader:
     @pytest.mark.parametrize("kappa, tau", [(0.7, 1), (-0.0, -1), (0.7, 0)])
     @pytest.mark.parametrize("d", [2, 3, 8])
     def test_model_file_read_in_many_pieces(self, tmp_path, monkeypatch, source, kappa, tau, d):
-        # every file save_tensor writes takes the piecewise reader
+        # every schema 1 file in the json encoder's layout, and every file
+        # save_tensor writes, takes the piecewise reader
         a = random_skew(d, 3) if tau else None
         tensor = build_model(kappa, tau, a, dim=d)
-        save_tensor(source(kappa, tau, a, dim=d), tmp_path / "tensor.json")
+        oracle_save_tensor(tensor, tmp_path / "tensor.json")
+        save_tensor(source(kappa, tau, a, dim=d), tmp_path / "saved.json")
         monkeypatch.setattr(cio, "_PIECE", 100)
         data, _ = cio._stream_tensor_json(tmp_path / "tensor.json")
         assert data["components"].tobytes() == tensor.components.tobytes()
+        data, _ = cio._stream_tensor_json(tmp_path / "saved.json")
+        assert data["components_base64"].tobytes() == tensor.components.astype("<f8").tobytes()
+
+
+def _base64_text(text):
+    """The components_base64 string of a schema 2 file's text."""
+    return json.loads(text)["components_base64"]
+
+
+def _reencoded(edit):
+    """A text edit that encodes the edited float64 bytes of the components in place of theirs."""
+    def apply(text):
+        raw = base64.b64encode(edit(base64.b64decode(_base64_text(text)))).decode()
+        return text.replace(_base64_text(text), raw)
+    return apply
+
+
+def _with_bits(bits):
+    """An edit that writes the float64 bit pattern ``bits`` over component 40."""
+    return lambda raw: raw[:320] + np.array([bits], "<u8").tobytes() + raw[328:]
+
+
+def _edited_payload(edit, indent=2):
+    """A text edit that changes the parsed payload and writes it back with sorted keys."""
+    def apply(text):
+        payload = json.loads(text)
+        edit(payload)
+        return json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    return apply
+
+
+# Edits of a canonical d=3 schema 2 file that make it malformed: each is a
+# ParseError that names the file.
+MALFORMED_BASE64 = {
+    "non-alphabet character": lambda text: text.replace(_base64_text(text)[:3], "AA*", 1),
+    "non-ASCII character": lambda text: text.replace(_base64_text(text)[:3], "AA\u00e9", 1),
+    "bad padding": lambda text: text.replace(_base64_text(text), _base64_text(text)[:-1]),
+    "padding inside the string": lambda text: text.replace(
+        _base64_text(text)[:60], _base64_text(text)[:60] + "AA==", 1),
+    "leading padding": lambda text: text.replace(_base64_text(text), "====" + _base64_text(text)),
+    "8 bytes short": _reencoded(lambda raw: raw[:-8]),
+    "1 byte short": _reencoded(lambda raw: raw[:-1]),
+    "8 bytes long": _reencoded(lambda raw: raw + raw[:8]),
+    "both components": _edited_payload(lambda p: p.update(components=[0.0] * 81)),
+    "neither components": _edited_payload(lambda p: p.pop("components_base64")),
+    "schema 1 with base64": lambda text: text.replace('"schema_version": 2', '"schema_version": 1'),
+    "schema 2 with a list": _edited_payload(  # in no layout the piecewise reader reads
+        lambda p: p.update(components=[0.0] * 81) or p.pop("components_base64"), indent=1),
+    "NaN": _reencoded(_with_bits(0x7FF8000000000000)),
+    "signalling NaN": _reencoded(_with_bits(0x7FF0000000000001)),
+    "negative NaN": _reencoded(_with_bits(0xFFF8000000000000)),
+    "Infinity": _reencoded(_with_bits(0x7FF0000000000000)),
+    "-Infinity": _reencoded(_with_bits(0xFFF0000000000000)),
+    "duplicate after the string": lambda text: text.replace(
+        '"convention"', '"components_base64": "AAAA",\n  "convention"'),
+    "no end to the string": lambda text: text[:text.index('",\n  "convention"')],
+    "not a string": _edited_payload(lambda p: p.update(components_base64=[1.0])),
+}
+# Edits that keep a valid file; the loaded tensor must be the canonical one.
+VALID_BASE64 = {
+    "canonical": lambda text: text,
+    "shuffled keys": lambda text: json.dumps(dict(reversed(json.loads(text).items())), indent=1),
+    "escaped character": lambda text: text.replace(
+        _base64_text(text)[:3], _base64_text(text)[:2] + f"\\u{ord(_base64_text(text)[2]):04x}", 1),
+    "member after the string": lambda text: text.replace(
+        '"convention"', '"note": {"k": [1, 2]},\n  "convention"'),
+}
+# Edits that keep the layout save_tensor writes, which the piecewise reader reads.
+STREAMED_BASE64 = {"canonical", "member after the string", "8 bytes short", "1 byte short",
+                   "8 bytes long", "schema 1 with base64", "NaN", "signalling NaN",
+                   "negative NaN", "Infinity", "-Infinity"}
+FINITE_VALUES = st.one_of(FINITE, st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308]))
+
+
+class TestBase64Files:
+    """Schema 2 files: lossless, read in pieces, and every malformed one is a ParseError."""
+
+    def _edited(self, tmp_path, edit):
+        canonical = tmp_path / "canonical.json"
+        save_tensor(build_model(0.7, 1, random_skew(3, 2)), canonical)
+        path = tmp_path / "edited.json"
+        path.write_text(edit(canonical.read_text()))
+        return path
+
+    @pytest.mark.parametrize("piece", [7, None])
+    @pytest.mark.parametrize("edit", list(MALFORMED_BASE64) + list(VALID_BASE64))
+    def test_matches_whole_text_parse(self, tmp_path, monkeypatch, edit, piece):
+        if piece is not None:  # pieces of no whole number of 4-character groups
+            monkeypatch.setattr(cio, "_PIECE", piece)
+        path = self._edited(tmp_path, {**MALFORMED_BASE64, **VALID_BASE64}[edit])
+        assert _outcome(load_tensor, path) == _outcome(oracle_load_tensor, path)
+        assert (cio._stream_tensor_json(path) is not None) == (edit in STREAMED_BASE64)
+
+    @pytest.mark.parametrize("piece", [7, None])
+    @pytest.mark.parametrize("edit", list(MALFORMED_BASE64))
+    def test_malformed_is_parse_error_naming_file(self, tmp_path, monkeypatch, edit, piece):
+        if piece is not None:
+            monkeypatch.setattr(cio, "_PIECE", piece)
+        path = self._edited(tmp_path, MALFORMED_BASE64[edit])
+        with pytest.raises(ParseError) as caught:
+            load_tensor(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        if "NaN" in edit or "Infinity" in edit:
+            assert str(caught.value) == f"{path}: components: values must be finite"
+
+    @pytest.mark.parametrize("edit", list(VALID_BASE64))
+    def test_valid_edits_load_the_tensor(self, tmp_path, edit):
+        path = self._edited(tmp_path, VALID_BASE64[edit])
+        tensor = build_model(0.7, 1, random_skew(3, 2))
+        assert load_tensor(path).components.tobytes() == tensor.components.tobytes()
+
+    @given(values=st.lists(FINITE_VALUES, min_size=81, max_size=81),
+           piece=st.sampled_from([7, 64, 2**16]))
+    def test_any_finite_tensor_round_trips_bitwise(self, tmp_path_factory, values, piece):
+        # the constructor does not enforce the symmetries, so these skip
+        # load_tensor's symmetry check and read the components as it does
+        tensor = CurvatureTensor(3, np.array(values).reshape((3,) * 4))
+        path = tmp_path_factory.mktemp("base64") / "tensor.json"
+        save_tensor(tensor, path)
+        with mock.patch.object(cio, "_PIECE", piece):
+            data, _ = cio._stream_tensor_json(path)
+        whole, _ = cio._read_json(path)
+        for value in (data["components_base64"], whole["components_base64"]):
+            assert cio._base64_floats(value, 3, path).tobytes() == tensor.components.tobytes()
+
+    @given(value=FINITE_VALUES, zeros=st.lists(st.booleans(), min_size=16, max_size=16))
+    def test_symmetric_tensor_loads_bitwise(self, tmp_path_factory, value, zeros):
+        # d=2 has one curvature class, R[0, 1, 0, 1]; every other entry is
+        # its negative, itself or a zero of either sign
+        components = np.where(zeros, -0.0, 0.0).reshape((2,) * 4)
+        components[0, 1, 0, 1] = components[1, 0, 1, 0] = value
+        components[0, 1, 1, 0] = components[1, 0, 0, 1] = -value
+        tensor = CurvatureTensor(2, components)
+        path = tmp_path_factory.mktemp("base64") / "tensor.json"
+        save_tensor(tensor, path)
+        assert load_tensor(path).components.tobytes() == tensor.components.tobytes()
+
+    def test_load_memory_is_one_tensor(self, tmp_path):
+        # the 8 MiB array plus pieces of text, within the bound of the schema 1 load
+        save_tensor(build_model(0.7, 1, random_skew(32, 1)), tmp_path / "tensor.json")
+        tracemalloc.start()
+        try:
+            load_tensor(tmp_path / "tensor.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
 class TestSchemaVersion:
@@ -458,7 +592,7 @@ class TestSchemaVersion:
     def test_cli_exits_input_error(self, tmp_path):
         path = tmp_path / "tensor.json"
         save_tensor(build_r1(4), path)
-        path.write_text(path.read_text().replace('"schema_version": 1', '"schema_version": true'))
+        path.write_text(path.read_text().replace('"schema_version": 2', '"schema_version": true'))
         result = run_cli("decompose", str(path))
         assert result.returncode == 1
         assert "schema_version True unsupported" in result.stderr
@@ -609,8 +743,9 @@ def test_generate_negative_zeros_match_einsum_file(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     oracle_path = tmp_path / "oracle.json"
-    oracle_save_tensor(CurvatureTensor(6, oracle_model_einsum(-0.7, -1, a)), oracle_path)
-    assert "-0.0" in oracle_path.read_text()
+    components = oracle_model_einsum(-0.7, -1, a)
+    assert np.signbit(components[components == 0]).any()
+    oracle_save_tensor_base64(CurvatureTensor(6, components), oracle_path)
     expected = hashlib.sha256(oracle_path.read_bytes()).hexdigest()
     assert json.loads(result.stdout)["output"]["sha256"] == expected
 
