@@ -17,8 +17,13 @@ schema 2; ``io.load_samples_s`` reads back the samples that
 ``cli.teardown_s`` is the time from a child's ``main()`` raising
 ``SystemExit`` (a ``decompose`` of the file ``io.load_tensor_s`` reads,
 whose ``finally`` prints ``time.time()`` to stderr) to this process seeing the child exit, and ``cli.startup_s``
-is the wall time of ``python -m curvlab.cli --help``, which does not
-depend on d and is reported once.  Stages that the benchmark traces use
+is the wall time of ``python -m curvlab.cli lemma-suite --dims x``, which
+does not depend on d and is reported once.  That process imports the CLI,
+does no command work (``cmd_lemma_suite`` rejects the dimensions before
+the lemma module is imported) and exits 1 through ``main``, after its
+``gc.freeze()``, as every request does; a ``--help`` process exits inside
+argparse and pays the collections at shutdown that requests skip.
+Stages that the benchmark traces use
 its per-layer names from BENCHMARK.json; the Jacobi operators (one call
 at the scan's default 2d samples) and ``nullity_space`` have no benchmark
 name and are reported as ``curvature.jacobi_operator_s`` and
@@ -138,6 +143,14 @@ def teardown_seconds(path: Path) -> float:
     return ended - float(proc.stderr.splitlines()[-1])
 
 
+def startup_process() -> None:
+    """A CLI process that ends through ``main``'s exit without doing any command's work."""
+    proc = subprocess.run([sys.executable, "-m", "curvlab.cli", "lemma-suite", "--dims", "x"],
+                          capture_output=True, text=True)
+    if proc.returncode != 1:
+        raise RuntimeError(f"lemma-suite --dims x exited {proc.returncode}: {proc.stderr}")
+
+
 def median_seconds(call, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -178,9 +191,7 @@ def main(argv=None) -> int:
             path = Path(directory) / f"model-d{d}.json"
             seconds.setdefault("cli.teardown_s", {})[str(d)] = statistics.median(
                 teardown_seconds(path) for _ in range(args.repeats))
-    startup = median_seconds(lambda: subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", "--help"], capture_output=True, check=True),
-        args.repeats)
+    startup = median_seconds(startup_process, args.repeats)
     print(json.dumps({"dims": dims, "repeats": args.repeats, "cli.startup_s": startup,
                       "seconds": seconds, "tracemalloc_peak_mib": peaks}, indent=2))
     return 0

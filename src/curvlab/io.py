@@ -47,29 +47,20 @@ TENSOR_CONVENTION = "R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>"
 
 
 def _parse_json(path):
-    """The parsed document, and whether its text may hold a JSON boolean.
-
-    ``true`` and ``false`` are the only tokens in a list of numbers that
-    contain a "u" or an "f", and no key or fixed string of the file layouts
-    does.  A text with neither letter therefore holds no boolean, and the
-    number lists skip the per-element type check (about 20 ms at d=32).
-    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        data = json.loads(text)
+            return json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
-    return data, "u" in text or "f" in text
 
 
-def _read_json(path) -> tuple[dict, bool]:
-    data, may_hold_bool = _parse_json(path)
+def _read_json(path) -> dict:
+    data = _parse_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")
-    return data, may_hold_bool
+    return data
 
 
 # Characters of text the tensor reader parses at a time.  On one CPU of a
@@ -139,7 +130,7 @@ def _read_base64(handle) -> tuple[np.ndarray, str]:
             return out[:filled], rest[1:]
 
 
-def _stream_tensor_json(path) -> tuple[dict, bool] | None:
+def _stream_tensor_json(path) -> dict | None:
     """``_read_json`` for a file in the layout of ``_HEAD`` or ``save_tensor``, read a piece at a time.
 
     The file must start with ``_HEAD`` (schema 1) or ``_HEAD_BASE64``
@@ -171,7 +162,7 @@ def _stream_tensor_json(path) -> tuple[dict, bool] | None:
     if not data:  # "]," then "}": a trailing comma
         return None
     data["basis"], data[key] = TENSOR_BASIS, value
-    return data, False
+    return data
 
 
 def _require_version(data: dict, expected: tuple[int, ...], path) -> int:
@@ -187,34 +178,33 @@ def _require_version(data: dict, expected: tuple[int, ...], path) -> int:
     return version
 
 
-def _numbers(values, ndim: int, may_hold_bool: bool) -> np.ndarray:
+def _floats(values, where: str, ndim: int) -> np.ndarray:
     """A flat JSON number list (ndim 1), or a list of equal-length ones (ndim 2).
 
     The numbers are converted in one pass by ``array("d")``, which takes only
     real numbers: strings, null and nested lists raise TypeError, and
     integers beyond the float range OverflowError.  It takes booleans as the
-    integers 0 and 1, so they are looked for when the text may hold one.
+    integers 0 and 1, so every list is looked through for them first.  An
+    array the streamed reader made is returned as it is.
     """
-    flat = values
-    if ndim == 2:
-        if len(set(map(len, values))) > 1:
-            raise ValueError("rows differ in length")
-        flat = list(chain.from_iterable(values))
-    if may_hold_bool and bool in set(map(type, flat)):
-        raise TypeError("booleans are not numbers")
-    numbers = np.asarray(array("d", flat))
-    return numbers.reshape(len(values), -1) if ndim == 2 and values else numbers
-
-
-def _floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return values
     try:
-        return values if isinstance(values, np.ndarray) else _numbers(values, ndim, may_hold_bool)
+        flat = values
+        if ndim == 2:
+            if len(set(map(len, values))) > 1:
+                raise ValueError("rows differ in length")
+            flat = list(chain.from_iterable(values))
+        if bool in set(map(type, flat)):
+            raise TypeError("booleans are not numbers")
+        numbers = np.asarray(array("d", flat))
+        return numbers.reshape(len(values), -1) if ndim == 2 and values else numbers
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: expected numbers") from exc
 
 
-def _finite_floats(values, where: str, may_hold_bool: bool, ndim: int) -> np.ndarray:
-    arr = _floats(values, where, may_hold_bool, ndim)
+def _finite_floats(values, where: str, ndim: int) -> np.ndarray:
+    arr = _floats(values, where, ndim)
     if not np.isfinite(arr).all():
         raise ParseError(f"{where}: values must be finite")
     return arr
@@ -274,7 +264,7 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     from .curvature import CurvatureTensor, validate_symmetries
 
     tol = require_tol(tol)
-    data, may_hold_bool = _stream_tensor_json(path) or _read_json(path)
+    data = _stream_tensor_json(path) or _read_json(path)
     version = _require_version(data, (1, TENSOR_SCHEMA_VERSION), path)
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2:
@@ -294,7 +284,7 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
             f"{path}: components must be a list of dim^4 = {dim**4} numbers"
         )
     else:
-        flat = _floats(components, f"{path}: components", may_hold_bool, 1)
+        flat = _floats(components, f"{path}: components", 1)
     try:  # the constructor's max and min find NaN and inf without a d^4 mask
         tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
     except NonFiniteComponents as exc:
@@ -320,7 +310,7 @@ def save_samples(samples: DistributionSamples, path) -> None:
 def load_samples(path) -> DistributionSamples:
     from .sphere import DistributionSamples
 
-    data, may_hold_bool = _read_json(path)
+    data = _read_json(path)
     _require_version(data, (SAMPLES_SCHEMA_VERSION,), path)
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2:
@@ -332,11 +322,11 @@ def load_samples(path) -> DistributionSamples:
     for index, entry in enumerate(raw_entries):
         if not isinstance(entry, dict) or "s" not in entry or "tangents" not in entry:
             raise ParseError(f"{path}: entry {index} must have 's' and 'tangents'")
-        s = _finite_floats(entry["s"], f"{path}: entry {index} base point", may_hold_bool, 1)
+        s = _finite_floats(entry["s"], f"{path}: entry {index} base point", 1)
         if s.shape != (dim,):
             raise ParseError(f"{path}: entry {index} base point has wrong length")
         tangents = _finite_floats(
-            entry["tangents"], f"{path}: entry {index} tangents", may_hold_bool, 2
+            entry["tangents"], f"{path}: entry {index} tangents", 2
         ) if entry["tangents"] else np.zeros((0, dim))
         if tangents.ndim != 2 or tangents.shape[1] != dim:
             raise ParseError(f"{path}: entry {index} tangents must be a list of {dim}-vectors")
@@ -349,10 +339,10 @@ def load_samples(path) -> DistributionSamples:
 
 def load_matrix(path, expected_dim: int | None = None) -> np.ndarray:
     """Load a square matrix from JSON: either a bare 2-d list or {"matrix": ...}."""
-    data, may_hold_bool = _parse_json(path)
+    data = _parse_json(path)
     if isinstance(data, dict):
         data = data.get("matrix")
-    mat = _finite_floats(data, f"{path}: matrix", may_hold_bool, 2)
+    mat = _finite_floats(data, f"{path}: matrix", 2)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"{path}: matrix must be square, got shape {mat.shape}")
     if expected_dim is not None and mat.shape[0] != expected_dim:

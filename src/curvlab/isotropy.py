@@ -289,7 +289,7 @@ def recover_decomposition(
     d = r.dim
     try:
         report, spectra, vectors, scan_limit = _scan(r, n_samples, tol)
-    except (InconsistentKappa, NoDominantEigenvalue) as exc:
+    except InconsistentKappa as exc:
         raise NotAlmostIsotropic(str(exc)) from exc
     require_within(report.worst_rank_residual, scan_limit, NotAlmostIsotropic, "worst rank residual")
     kappa = report.kappa

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import build_model, jacobi_operator, nullity_space, ricci, validate_symmetries
+from .curvature import jacobi_operator, nullity_space, ricci, validate_symmetries
 from .errors import NotKahler, ParseError
 from .isotropy import (
     almost_isotropy_scan,
@@ -157,9 +157,7 @@ def roundtrip_error(models) -> float:
     worst = 0.0
     for tensor, kappa, _, _ in models:
         found = recover_decomposition(tensor)
-        rebuilt = build_model(found.kappa, found.tau, found.skew if found.tau else None, dim=tensor.dim)
-        residual = float(np.max(np.abs(rebuilt.components - tensor.components)))
-        worst = max(worst, abs(found.kappa - kappa), residual / scale_of(tensor.max_abs))
+        worst = max(worst, abs(found.kappa - kappa), found.residual)
     return worst
 
 

@@ -287,7 +287,7 @@ class Subspace:
         mat = mat.T  # columns are the spanning vectors
         d = mat.shape[0]
         if dim is not None and dim != d:
-            raise ValueError(f"vectors have length {d}, expected {dim}")
+            raise DimensionMismatch(f"vectors have length {d}, expected {dim}")
         _require_finite(mat, PreconditionViolated, "vectors")
         u, singular, _ = _lapack(np.linalg.svd, mat, full_matrices=False)
         top = float(singular[0]) if singular.size else 0.0
@@ -324,7 +324,7 @@ class Subspace:
         significant digits near zero.
         """
         if self.dim != other.dim:
-            raise ValueError("subspaces live in different ambient dimensions")
+            raise DimensionMismatch("subspaces live in different ambient dimensions")
         small, big = (self, other) if self.dimension <= other.dimension else (other, self)
         if small.dimension == 0:
             return np.zeros(0)
@@ -338,7 +338,7 @@ class Subspace:
     def angle_to(self, other: "Subspace") -> float:
         """Largest principal angle; pi/2 when the dimensions differ."""
         if self.dim != other.dim:
-            raise ValueError("subspaces live in different ambient dimensions")
+            raise DimensionMismatch("subspaces live in different ambient dimensions")
         if self.dimension != other.dimension:
             return float(np.pi / 2)
         if self.dimension == 0:
@@ -348,7 +348,7 @@ class Subspace:
     def intersection(self, other: "Subspace") -> "Subspace":
         """Common subspace, via the eigenvalue-2 eigenspace of P_self + P_other."""
         if self.dim != other.dim:
-            raise ValueError("subspaces live in different ambient dimensions")
+            raise DimensionMismatch("subspaces live in different ambient dimensions")
         eigenvalues, vectors = _lapack(np.linalg.eigh, self.projector() + other.projector())
         keep = eigenvalues >= 2.0 - 1e-8
         return Subspace(self.dim, canonical_sign_columns(vectors[:, keep]))

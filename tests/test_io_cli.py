@@ -411,9 +411,9 @@ class TestPiecewiseLoader:
         oracle_save_tensor(tensor, tmp_path / "tensor.json")
         save_tensor(source(kappa, tau, a, dim=d), tmp_path / "saved.json")
         monkeypatch.setattr(cio, "_PIECE", 100)
-        data, _ = cio._stream_tensor_json(tmp_path / "tensor.json")
+        data = cio._stream_tensor_json(tmp_path / "tensor.json")
         assert data["components"].tobytes() == tensor.components.tobytes()
-        data, _ = cio._stream_tensor_json(tmp_path / "saved.json")
+        data = cio._stream_tensor_json(tmp_path / "saved.json")
         assert data["components_base64"].tobytes() == tensor.components.astype("<f8").tobytes()
 
 
@@ -535,8 +535,8 @@ class TestBase64Files:
         path = tmp_path_factory.mktemp("base64") / "tensor.json"
         save_tensor(tensor, path)
         with mock.patch.object(cio, "_PIECE", piece):
-            data, _ = cio._stream_tensor_json(path)
-        whole, _ = cio._read_json(path)
+            data = cio._stream_tensor_json(path)
+        whole = cio._read_json(path)
         for value in (data["components_base64"], whole["components_base64"]):
             assert cio._base64_floats(value, 3, path).tobytes() == tensor.components.tobytes()
 
@@ -689,7 +689,7 @@ class TestNonNumbersRejected:
             load_tensor(path)
 
     def test_booleans_found_among_other_letters(self, tmp_path):
-        # the key holds "u" and "f", so the per-element check runs and passes
+        # letters beside the numbers are no booleans: every list is checked by element type
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"matrix": [[0.0, -1.0], [1.0, 0.0]], "unused_field": 1}))
         assert load_matrix(path).shape == (2, 2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from curvlab import (
     CurvatureTensor,
+    DimensionMismatch,
     InconsistentKappa,
     NonOrthonormalBasis,
     NonPositiveTolerance,
@@ -244,6 +245,16 @@ class TestSubspaceGeometry:
         w = Subspace.span([np.eye(3)[0], np.eye(3)[1]])
         assert w.contains(np.array([0.5, -0.25, 0.0]))
         assert not w.contains(np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("method", ["principal_angles", "angle_to", "intersection"])
+    def test_ambient_dimension_mismatch_typed(self, method):
+        u, v = Subspace.span([np.eye(3)[0]]), Subspace.span([np.eye(4)[0]])
+        with pytest.raises(DimensionMismatch, match="^subspaces live in different ambient dimensions$"):
+            getattr(u, method)(v)
+
+    def test_span_vector_length_mismatch_typed(self):
+        with pytest.raises(DimensionMismatch, match="^vectors have length 3, expected 4$"):
+            Subspace.span([np.eye(3)[0]], dim=4)
 
 
 def broken_r1_file(path):
