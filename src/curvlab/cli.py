@@ -4,8 +4,7 @@ Subcommands: generate, classify, decompose, fit-distribution, lemma-suite.
 Exit codes: 0 success, 1 unreadable or malformed input (usage errors
 included), 2 mathematical rejection (not almost isotropic, not Kahler,
 broken convention or structure) or a numerical failure.  For classify and
-decompose, the environment variable CURVLAB_TOL overrides the default
-tolerance of 1e-9, and a --tol flag overrides both.
+decompose, --tol is the only override of the default tolerance of 1e-9.
 
 Each subcommand loads only the modules it runs: the library functions in
 ``_LAZY`` are module attributes imported on first use, and the commands
@@ -30,8 +29,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
 import sys
 
 import numpy as np
@@ -74,16 +71,12 @@ EXIT_REJECTED = 2
 
 
 def _resolve_tol(flag_value: float | None) -> float:
-    if flag_value is not None:
-        source, raw = "--tol", flag_value
-    else:
-        source, raw = "CURVLAB_TOL", os.environ.get("CURVLAB_TOL")
-        if raw is None:
-            return DEFAULT_TOL
+    if flag_value is None:
+        return DEFAULT_TOL
     try:
-        return require_tol(raw)
+        return require_tol(flag_value)
     except NonPositiveTolerance as exc:
-        raise ParseError(f"{source} must be a finite positive number, got {raw!r}") from exc
+        raise ParseError(f"--tol must be a finite positive number, got {flag_value!r}") from exc
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -312,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (InputFormatError, OSError, json.JSONDecodeError) as exc:
+    except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
     except CurvlabError as exc:

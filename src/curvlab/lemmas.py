@@ -330,6 +330,8 @@ def run_suite(dims=(4, 6), trials: int = 25, seed: int = 0) -> list[CheckResult]
             raise ParseError(f"dimension must be at least 3, got {d}")
     if trials < 1:
         raise ParseError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise ParseError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     draws = [dims[trial % len(dims)] for trial in range(trials)]
     models = [random_model(d, rng) for d in draws]

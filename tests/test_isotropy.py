@@ -366,6 +366,17 @@ class TestRecoverDecomposition:
         assert result.stderr.startswith("rejected (NotAlmostIsotropic): worst rank residual")
         assert result.stdout == ""
 
+    def test_basis_vector_rank_check_rejects(self):
+        # a 1e-8 second skew term passes the scan's rank screen at tol 1e-7
+        # but not the basis-vector check on the deviations divided by 3
+        s = np.sign(np.random.default_rng(16).standard_normal((16, 16)))
+        a = np.triu(s, 1) - np.triu(s, 1).T
+        tensor = build_model(0.5, 1, a) + 1e-8 * build_model(0.0, 1, random_skew(16, 5))
+        with pytest.raises(NotAlmostIsotropic) as caught:
+            recover_decomposition(tensor, 1e-7)
+        assert str(caught.value).startswith(
+            "Jacobi deviation at basis vector 10 has rank above one")
+
     def test_inconsistent_tau_raises(self):
         # rank-one deviations of opposite signs at different basis vectors;
         # restricted to basis samples so the per-sample screens all pass

@@ -170,6 +170,25 @@ class TestClassifyKahler:
             classify_kahler(instance["tensor"], instance["j"])
         assert str(caught.value).startswith(wording)
 
+    def test_three_clusters_rejected(self):
+        # B = AJ has three eigenvalue clusters at tol 3e-3, but kappa at their
+        # mean square keeps the tensor almost isotropic
+        j = standard_complex_structure(6)
+        a = j @ np.diag([10.0, 10.0, 10.05, 10.05, 10.1, 10.1])
+        kappa = float(np.mean([10.0**2, 10.05**2, 10.1**2]))
+        with pytest.raises(StructureViolation) as caught:
+            classify_kahler(build_model(kappa, 1, a), j, 3e-3)
+        assert str(caught.value).startswith("B has 3 eigenvalue clusters in dimension 6")
+
+    def test_flat_case_needs_one_plane(self):
+        # kappa = 0 with two nonzero eigenplanes of B above tol 3e-3
+        j = standard_complex_structure(6)
+        a = j @ np.diag([10.0, 10.0, 0.05, 0.05, 0.0, 0.0])
+        with pytest.raises(StructureViolation) as caught:
+            classify_kahler(build_model(0.0, 1, a), j, 3e-3)
+        assert str(caught.value).startswith(
+            "flat case requires exactly one 2-dimensional nonzero eigenplane of B")
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, tol):
         # checked before any residual, so an exact model is not misreported

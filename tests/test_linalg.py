@@ -11,6 +11,7 @@ from curvlab import (
     InconsistentKappa,
     NonOrthonormalBasis,
     NonPositiveTolerance,
+    NotAlmostIsotropic,
     NotKahler,
     NotOrthonormal,
     NotSkew,
@@ -25,6 +26,7 @@ from curvlab import (
     load_tensor,
     random_skew,
     rank_with_tol,
+    recover_decomposition,
     standard_complex_structure,
     symmetric_spectrum,
     unit_sphere_samples,
@@ -329,3 +331,9 @@ class TestToleranceRejects:
         with pytest.raises(error) as caught:
             reject(tmp_path / "broken.json")
         assert text in str(caught.value)
+
+    def test_recovery_names_split_kappa_not_almost_isotropic(self):
+        with pytest.raises(NotAlmostIsotropic) as caught:
+            recover_decomposition(SPLIT_KAPPA, n_samples=4)
+        assert str(caught.value).startswith("per-sample constants disagree by 4.000e+00")
+        assert isinstance(caught.value.__cause__, InconsistentKappa)
