@@ -337,15 +337,15 @@ def load_samples(path) -> DistributionSamples:
         raise ParseError(f"{path}: entry {exc.index}: {exc}") from exc
 
 
-def load_matrix(path, expected_dim: int | None = None) -> np.ndarray:
-    """Load a square matrix from JSON: either a bare 2-d list or {"matrix": ...}."""
+def load_matrix(path, expected_dim: int) -> np.ndarray:
+    """Load a square ``expected_dim`` matrix from JSON: a bare 2-d list or {"matrix": ...}."""
     data = _parse_json(path)
     if isinstance(data, dict):
         data = data.get("matrix")
     mat = _finite_floats(data, f"{path}: matrix", 2)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"{path}: matrix must be square, got shape {mat.shape}")
-    if expected_dim is not None and mat.shape[0] != expected_dim:
+    if mat.shape[0] != expected_dim:
         raise ParseError(
             f"{path}: matrix is {mat.shape[0]}x{mat.shape[0]}, expected {expected_dim}"
         )

@@ -148,13 +148,12 @@ def _consensus_kappa_d3(spectra: np.ndarray, limit: float) -> float:
     return float(np.mean(close)) if close.size else float(best)
 
 
-def almost_isotropy_scan(
-    r: CurvatureTensor,
-    n_samples: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> IsotropyReport:
+def almost_isotropy_scan(r: CurvatureTensor, *, tol: float = DEFAULT_TOL) -> IsotropyReport:
     """Scan sampled unit vectors for a shared isotropy constant.
 
+    The samples are always the same max(2d, 12) unit vectors: e_1..e_d,
+    then normalized Gaussian draws from ``numpy.random.default_rng(0)``
+    (``unit_sphere_samples(d, max(2d, 12))``).
     Every sampled Jacobi spectrum is tested for an eigenvalue cluster of
     multiplicity d-2; the clustered values must agree on a single kappa
     (``InconsistentKappa`` otherwise).  Samples whose spectrum has no such
@@ -162,7 +161,7 @@ def almost_isotropy_scan(
     isotropic, with kappa estimated best-effort, so that broken inputs
     still produce a diagnosable report.
     """
-    return _scan(r, n_samples, tol)[0]
+    return _scan(r, tol)[0]
 
 
 def _median(values: np.ndarray) -> float:
@@ -178,14 +177,11 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[half - 1] + ordered[half]) / 2)
 
 
-def _scan(r, n_samples, tol):
+def _scan(r, tol):
     """The scan's report, the eigenvalues and eigenvectors it computed, and its threshold."""
     d = r.dim
-    if n_samples is None:
-        n_samples = max(2 * d, 12)
-    if n_samples < 1:
-        raise ValueError("scan needs at least one sample")
-    spectra, vectors = _spectra_on_complement(r, unit_sphere_samples(d, n_samples))
+    samples = unit_sphere_samples(d, max(2 * d, 12))
+    spectra, vectors = _spectra_on_complement(r, samples)
     limit = threshold(tol, spectra)
 
     if d == 3:
@@ -208,7 +204,7 @@ def _scan(r, n_samples, tol):
         is_isotropic=worst_full <= limit,
         is_almost_isotropic=worst_rank <= limit,
         worst_rank_residual=worst_rank,
-        samples_used=n_samples,
+        samples_used=len(samples),
     )
     return report, spectra, vectors, limit
 
@@ -267,11 +263,7 @@ def _model_columns(r, eigenvalues, vectors, kappa, limit):
     return tau, rows
 
 
-def recover_decomposition(
-    r: CurvatureTensor,
-    tol: float = DEFAULT_TOL,
-    n_samples: int | None = None,
-) -> Decomposition:
+def recover_decomposition(r: CurvatureTensor, tol: float = DEFAULT_TOL) -> Decomposition:
     """Invert the model form: find (kappa, tau, A) with R = kappa R1 + tau RA.
 
     Steps: estimate kappa by sphere scan; check the rank-one Jacobi
@@ -280,22 +272,21 @@ def recover_decomposition(
     ``_model_columns``); canonicalize the global sign; verify the
     reconstruction residual.
 
-    The basis-vector spectra come from the scan, whose samples start with
-    e_1..e_d, and the residual is read one model slab at a time (see
-    ``curvature._model_slab``), so the model is never built: O(n d^4) time
-    for n scan samples and O(n d^2 + d^3) memory beyond the tensor.
+    The basis-vector spectra come from the scan, whose fixed n = max(2d, 12)
+    samples start with e_1..e_d (see :func:`almost_isotropy_scan`), and the
+    residual is read one model slab at a time (see ``curvature._model_slab``),
+    so the model is never built: O(n d^4) time and O(n d^2 + d^3) memory
+    beyond the tensor.
     """
     tol = require_tol(tol)
     d = r.dim
     try:
-        report, spectra, vectors, scan_limit = _scan(r, n_samples, tol)
+        report, spectra, vectors, scan_limit = _scan(r, tol)
     except InconsistentKappa as exc:
         raise NotAlmostIsotropic(str(exc)) from exc
     require_within(report.worst_rank_residual, scan_limit, NotAlmostIsotropic, "worst rank residual")
     kappa = report.kappa
     max_abs = r.max_abs
-    if report.samples_used < d:  # the scan's samples start with e_1..e_d
-        spectra, vectors = _spectra_on_complement(r, np.eye(d))
     tau, rows = _model_columns(r, spectra[:d], vectors[:d], kappa, threshold(tol, max_abs))
     skew = (rows.T - rows) / 2.0
     skew = canonical_sign_matrix(skew, zero_tol=threshold(tol, skew))

@@ -369,11 +369,23 @@ TEXT_EDITS = {
     "no member after the list": lambda text: text[:text.index("]") + 2] + "\n}\n",
     "trailing comma ending a piece": _comma_ending_a_piece,
     "form feed after the list": lambda text: text.replace("\n  ],", "\n  ]\f,"),
+    "exponent with a leading zero": _first_component("1e05"),
+    "upper-case exponent with a sign": _first_component("1E+05"),
 }
+
+# Numbers outside the JSON grammar, several of which np.fromstring accepts:
+# each is a ParseError, found by the whole-text parse.
+MALFORMED_NUMBERS = {
+    "leading zero": "01.5", "plus sign": "+1.0", "no integer digit": ".5",
+    "no fraction digit": "5.", "no fraction digit before exponent": "1.e5",
+    "no exponent digit": "1e", "double minus": "--1.0", "two numbers": "1 2",
+}
+TEXT_EDITS.update({name: _first_component(token) for name, token in MALFORMED_NUMBERS.items()})
 
 # Edits that keep the layout save_tensor writes, which the piecewise reader reads.
 STREAMED = {"canonical", "NaN", "Infinity", "integer", "whitespace longer than the read size",
-            "CRLF line endings", "member after the list"}
+            "CRLF line endings", "member after the list", "exponent with a leading zero",
+            "upper-case exponent with a sign"}
 
 
 def _outcome(load, path):
@@ -397,8 +409,11 @@ class TestPiecewiseLoader:
         text = TEXT_EDITS[edit](canonical.read_text())
         path = tmp_path / "edited.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        assert _outcome(load_tensor, path) == _outcome(oracle_load_tensor, path)
+        outcome = _outcome(load_tensor, path)
+        assert outcome == _outcome(oracle_load_tensor, path)
         assert (cio._stream_tensor_json(path) is not None) == (edit in STREAMED)
+        if edit in MALFORMED_NUMBERS:
+            assert outcome[0] is ParseError
 
     @pytest.mark.parametrize("source", [build_model, ModelSlabs])
     @pytest.mark.parametrize("kappa, tau", [(0.7, 1), (-0.0, -1), (0.7, 0)])
@@ -676,7 +691,7 @@ class TestNonNumbersRejected:
     @pytest.mark.parametrize("bad", list(NOT_NUMBERS))
     def test_parse_error_names_field(self, tmp_path, kind, bad):
         path = _write_with(tmp_path, kind.replace(" ", "_"), NOT_NUMBERS[bad])
-        load = {"tensor": load_tensor, "matrix": load_matrix}.get(kind, load_samples)
+        load = {"tensor": load_tensor, "matrix": lambda p: load_matrix(p, 2)}.get(kind, load_samples)
         with pytest.raises(ParseError) as caught:
             load(path)
         assert str(caught.value) == f"{path}: {self.FIELDS[kind]}: expected numbers"
@@ -692,7 +707,7 @@ class TestNonNumbersRejected:
         # letters beside the numbers are no booleans: every list is checked by element type
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps({"matrix": [[0.0, -1.0], [1.0, 0.0]], "unused_field": 1}))
-        assert load_matrix(path).shape == (2, 2)
+        assert load_matrix(path, 2).shape == (2, 2)
 
     @pytest.mark.parametrize("command, kind", [
         ("classify", "matrix"), ("decompose", "tensor"), ("fit-distribution", "base_point"),
@@ -713,7 +728,8 @@ class TestNonNumbersRejected:
 class TestInvalidUtf8:
     """A file that is not UTF-8 is a ParseError that names it."""
 
-    @pytest.mark.parametrize("load", [load_tensor, load_samples, load_matrix])
+    @pytest.mark.parametrize("load", [load_tensor, load_samples, lambda p: load_matrix(p, 2)],
+                             ids=["load_tensor", "load_samples", "load_matrix"])
     def test_loader_names_file(self, tmp_path, load):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"dim": "\xff"}')

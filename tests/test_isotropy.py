@@ -34,8 +34,8 @@ from curvlab import (
     standard_complex_structure,
     unit_sphere_samples,
 )
-from curvlab.isotropy import _median, _spectra_on_complement
-from curvlab.linalg import null_space
+from curvlab.isotropy import _median, _model_columns, _scan, _spectra_on_complement
+from curvlab.linalg import DEFAULT_TOL, null_space, threshold
 from curvlab.lemmas import extremal_deviation
 from curvlab.models import (
     block_diagonal_skew,
@@ -211,7 +211,7 @@ class TestAlmostIsotropyScan:
         }
         tensor = CurvatureTensor(4, diagonal_plane_tensor(4, curvatures))
         with pytest.raises(InconsistentKappa):
-            almost_isotropy_scan(tensor, n_samples=4)
+            almost_isotropy_scan(tensor)
 
     def test_dimension_three_vote(self):
         a = random_skew(3, 5)
@@ -379,24 +379,31 @@ class TestRecoverDecomposition:
 
     def test_inconsistent_tau_raises(self):
         # rank-one deviations of opposite signs at different basis vectors;
-        # restricted to basis samples so the per-sample screens all pass
+        # the scan's Gaussian samples see rank two, so the sign check is
+        # reached through the scan's basis rows
         curvatures = {
             (0, 1): 1.0, (0, 2): 1.0, (0, 3): 4.0,
             (1, 2): -2.0, (1, 3): 1.0, (2, 3): 1.0,
         }
         tensor = CurvatureTensor(4, diagonal_plane_tensor(4, curvatures))
+        report, spectra, vectors, _ = _scan(tensor, DEFAULT_TOL)
         with pytest.raises(InconsistentTau):
-            recover_decomposition(tensor, n_samples=4)
+            _model_columns(tensor, spectra[:4], vectors[:4], report.kappa,
+                           threshold(DEFAULT_TOL, tensor.max_abs))
+        with pytest.raises(NotAlmostIsotropic) as caught:
+            recover_decomposition(tensor)
+        assert str(caught.value).startswith("worst rank residual 1.178e+00 exceeds")
 
-    @pytest.mark.parametrize("n_samples", [1, 5, 6])
-    def test_fewer_scan_samples_than_dimension(self, n_samples):
-        # below d samples the basis-vector spectra are computed apart from the scan
+    def test_sample_count_option_removed(self):
+        # the scan always uses its fixed sample set; an old positional count
+        # must not be read as a tolerance
         tensor = build_model(0.7, -1, random_skew(6, 3))
-        decomposition = recover_decomposition(tensor, n_samples=n_samples)
-        assert decomposition.tau == -1
-        assert decomposition.kappa == pytest.approx(0.7, abs=1e-12)
-        rebuilt = build_model(decomposition.kappa, -1, decomposition.skew)
-        np.testing.assert_allclose(rebuilt.components, tensor.components, atol=1e-12)
+        with pytest.raises(TypeError):
+            almost_isotropy_scan(tensor, 4)
+        with pytest.raises(TypeError):
+            almost_isotropy_scan(tensor, n_samples=4)
+        with pytest.raises(TypeError):
+            recover_decomposition(tensor, n_samples=4)
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_scale_roundtrip(self, scale):

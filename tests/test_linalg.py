@@ -324,7 +324,7 @@ class TestToleranceRejects:
          "antisymmetry identity fails with residual 5.000e-01 exceeds 1.000e-09"),
         (NotKahler, lambda _: classify_kahler(build_r1(4), standard_complex_structure(4)),
          "Kahler residual 1.000e+00 exceeds 1.000e-09"),
-        (InconsistentKappa, lambda _: almost_isotropy_scan(SPLIT_KAPPA, n_samples=4),
+        (InconsistentKappa, lambda _: almost_isotropy_scan(SPLIT_KAPPA),
          "per-sample constants disagree by 4.000e+00 exceeds 9.000e-09"),
     ], ids=["SymmetryViolation", "NotKahler", "InconsistentKappa"])
     def test_message_names_value_and_threshold(self, error, reject, text, tmp_path):
@@ -334,6 +334,6 @@ class TestToleranceRejects:
 
     def test_recovery_names_split_kappa_not_almost_isotropic(self):
         with pytest.raises(NotAlmostIsotropic) as caught:
-            recover_decomposition(SPLIT_KAPPA, n_samples=4)
+            recover_decomposition(SPLIT_KAPPA)
         assert str(caught.value).startswith("per-sample constants disagree by 4.000e+00")
         assert isinstance(caught.value.__cause__, InconsistentKappa)
