@@ -394,16 +394,23 @@ class TestRecoverDecomposition:
             recover_decomposition(tensor)
         assert str(caught.value).startswith("worst rank residual 1.178e+00 exceeds")
 
-    def test_sample_count_option_removed(self):
-        # the scan always uses its fixed sample set; an old positional count
-        # must not be read as a tolerance
+    @pytest.mark.parametrize("n_samples", [1, 5, 6])
+    def test_fewer_scan_samples_than_dimension(self, n_samples):
+        # the scan always uses its fixed sample set, which starts with every
+        # basis vector; a sample count is refused, and an old positional
+        # count must not be read as a tolerance
         tensor = build_model(0.7, -1, random_skew(6, 3))
         with pytest.raises(TypeError):
-            almost_isotropy_scan(tensor, 4)
+            almost_isotropy_scan(tensor, n_samples)
         with pytest.raises(TypeError):
-            almost_isotropy_scan(tensor, n_samples=4)
+            almost_isotropy_scan(tensor, n_samples=n_samples)
         with pytest.raises(TypeError):
-            recover_decomposition(tensor, n_samples=4)
+            recover_decomposition(tensor, n_samples=n_samples)
+        decomposition = recover_decomposition(tensor)
+        assert decomposition.tau == -1
+        assert decomposition.kappa == pytest.approx(0.7, abs=1e-12)
+        rebuilt = build_model(decomposition.kappa, -1, decomposition.skew)
+        np.testing.assert_allclose(rebuilt.components, tensor.components, atol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e200, 1e300])
     def test_huge_scale_roundtrip(self, scale):
