@@ -25,8 +25,8 @@ the lemma module is imported) and exits 1 through ``main``, after its
 argparse and pays the collections at shutdown that requests skip.
 Stages that the benchmark traces use
 its per-layer names from BENCHMARK.json; the Jacobi operators (one call
-at the scan's default 2d samples) and ``nullity_space`` have no benchmark
-name and are reported as ``curvature.jacobi_operator_s`` and
+on ``unit_sphere_samples(d, 2 * d, seed=1)``) and ``nullity_space`` have
+no benchmark name and are reported as ``curvature.jacobi_operator_s`` and
 ``curvature.nullity_space_s``.  The
 file I/O stages also run once under tracemalloc, and their peak traced
 memory is reported in MiB, so the memory claims for the tensor and sample

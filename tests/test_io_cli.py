@@ -33,7 +33,7 @@ import curvlab.cli as cli
 import curvlab.io as cio
 from curvlab.curvature import ModelSlabs
 from curvlab.io import load_matrix, render_json
-from curvlab.models import block_diagonal_skew, case2_instance, distribution_samples
+from curvlab.models import block_diagonal_skew, case2_instance, case3_instance, distribution_samples
 
 from _oracles import (
     oracle_load_tensor,
@@ -1106,6 +1106,18 @@ class TestCliContract:
         j_path.write_text(json.dumps({"matrix": np.eye(4).tolist()}))  # not a complex structure
         result = run_cli("classify", str(tensor_path), "--J", str(j_path))
         assert result.returncode == 1
+
+    def test_classify_recovery_failure_exits_two(self, tmp_path):
+        # classify re-raises recovery's SignResolutionFailure as StructureViolation
+        scales = np.random.default_rng(6).uniform(-2, 2, size=3)
+        path = tmp_path / "tensor.json"
+        save_tensor(case3_instance(6, 0.5)["tensor"]
+                    + 3e-8 * build_model(0.0, 1, block_diagonal_skew(6, scales)), path)
+        result = run_cli("classify", str(path), "--tol", "1e-8", "--format", "json")
+        assert result.returncode == 2
+        report = json.loads(result.stdout)
+        assert report["reason"] == "StructureViolation"
+        assert report["detail"] == "reconstruction residual 2.609e-08 exceeds 1.000e-08"
 
     def test_lemma_suite_cli(self):
         result = run_cli("lemma-suite", "--dims", "4", "--trials", "4", "--seed", "1")

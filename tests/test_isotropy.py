@@ -14,6 +14,7 @@ from curvlab import (
     NonPositiveTolerance,
     NotAlmostIsotropic,
     NumericalFailure,
+    SignResolutionFailure,
     Subspace,
     almost_isotropy_scan,
     analyze_b_operator,
@@ -367,15 +368,53 @@ class TestRecoverDecomposition:
         assert result.stdout == ""
 
     def test_basis_vector_rank_check_rejects(self):
-        # a 1e-8 second skew term passes the scan's rank screen at tol 1e-7
-        # but not the basis-vector check on the deviations divided by 3
+        # a 1e-8 second skew term passes the scan's rank test at tol 1e-7,
+        # the one home of the rank-one condition; the reconstruction residual
+        # is the final check, and it rejects here just above the tolerance
         s = np.sign(np.random.default_rng(16).standard_normal((16, 16)))
         a = np.triu(s, 1) - np.triu(s, 1).T
         tensor = build_model(0.5, 1, a) + 1e-8 * build_model(0.0, 1, random_skew(16, 5))
-        with pytest.raises(NotAlmostIsotropic) as caught:
+        assert almost_isotropy_scan(tensor, tol=1e-7).is_almost_isotropic
+        with pytest.raises(SignResolutionFailure) as caught:
             recover_decomposition(tensor, 1e-7)
-        assert str(caught.value).startswith(
-            "Jacobi deviation at basis vector 10 has rank above one")
+        assert str(caught.value) == "reconstruction residual 1.307e-07 exceeds 1.000e-07"
+        decomposition = recover_decomposition(tensor, 1.31e-7)
+        assert decomposition.tau == 1
+        assert decomposition.residual <= 1.31e-7
+
+    @pytest.mark.parametrize("d", [4, 6, 8, 12, 16])
+    def test_recovery_rejects_rank_exactly_when_scan_does(self, d):
+        # a model plus a small second skew term, eps from 1e-11 to 1e-6 in
+        # half decades: recovery says NotAlmostIsotropic exactly when the scan
+        # finds the tensor not almost isotropic (or its constants disagree)
+        for seed in range(4):
+            model = build_model(0.5, 1, random_skew(d, seed))
+            extra = build_model(0.0, 1, random_skew(d, 100 + seed))
+            for eps in [10.0 ** (k / 2) for k in range(-22, -11)]:
+                tensor = model + eps * extra
+                for tol in [1e-9, 1e-8, 1e-7]:
+                    try:
+                        scan_rejects = not almost_isotropy_scan(tensor, tol=tol).is_almost_isotropic
+                    except InconsistentKappa:
+                        scan_rejects = True
+                    recovery_rejects = False
+                    try:
+                        assert recover_decomposition(tensor, tol).residual <= tol
+                    except NotAlmostIsotropic:
+                        recovery_rejects = True
+                    except SignResolutionFailure:
+                        pass  # the scan accepted; the residual is the final check
+                    assert recovery_rejects == scan_rejects, (seed, eps, tol)
+
+    def test_second_skew_term_at_tolerance_recovers(self):
+        # the scan accepts this d=16 tensor at tol 1e-8, and so does recovery
+        tensor = (build_model(0.5, 1, random_skew(16, 1))
+                  + 1e-8 * build_model(0.0, 1, random_skew(16, 101)))
+        assert almost_isotropy_scan(tensor, tol=1e-8).is_almost_isotropic
+        decomposition = recover_decomposition(tensor, 1e-8)
+        assert decomposition.tau == 1
+        assert decomposition.residual <= 1e-8
+        assert decomposition.kappa == pytest.approx(0.5, abs=1e-7)
 
     def test_inconsistent_tau_raises(self):
         # rank-one deviations of opposite signs at different basis vectors;

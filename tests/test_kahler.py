@@ -12,6 +12,7 @@ from curvlab import (
     CurvatureTensor,
     NonPositiveTolerance,
     NotKahler,
+    SignResolutionFailure,
     Subspace,
     StructureViolation,
     SymmetryViolation,
@@ -38,6 +39,7 @@ from curvlab.lemmas import (
     relations_residual,
 )
 from curvlab.models import (
+    block_diagonal_skew,
     case2_instance,
     case3_instance,
     case4_instance,
@@ -188,6 +190,17 @@ class TestClassifyKahler:
             classify_kahler(build_model(0.0, 1, a), j, 3e-3)
         assert str(caught.value).startswith(
             "flat case requires exactly one 2-dimensional nonzero eigenplane of B")
+
+    def test_recovery_failure_is_structure_violation(self):
+        # a flat Kahler perturbation of Case 3 passes the J check and the scan
+        # at tol 1e-8, but its reconstruction residual is above tol
+        scales = np.random.default_rng(6).uniform(-2, 2, size=3)
+        tensor = (case3_instance(6, 0.5)["tensor"]
+                  + 3e-8 * build_model(0.0, 1, block_diagonal_skew(6, scales)))
+        with pytest.raises(StructureViolation) as caught:
+            classify_kahler(tensor, standard_complex_structure(6), 1e-8)
+        assert str(caught.value) == "reconstruction residual 2.609e-08 exceeds 1.000e-08"
+        assert isinstance(caught.value.__cause__, SignResolutionFailure)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, tol):
