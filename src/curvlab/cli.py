@@ -79,11 +79,9 @@ def _resolve_tol(flag_value: float | None) -> float:
         raise ParseError(f"--tol must be a finite positive number, got {flag_value!r}") from exc
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(cio.render_json(report))
-    else:
-        print(cio.render_text(report))
+def _emit(report: dict, fmt: str, render_text=cio.render_text) -> None:
+    """Print ``report``, built of plain JSON values, as JSON or through ``render_text``."""
+    print(cio.render_json(report) if fmt == "json" else render_text(report))
 
 
 def _subspace_payload(subspace) -> list:
@@ -167,15 +165,13 @@ def cmd_classify(args) -> int:
     try:
         result = _this.classify_kahler(tensor, j, tol)
     except MathematicalRejection as exc:
-        report["status"] = "rejected"
-        report["reason"] = type(exc).__name__
-        report["detail"] = str(exc)
-        _emit(report, args.format)
-        return EXIT_REJECTED
-    report["status"] = "ok"
-    report["results"] = _case_payload(result)
+        report.update(status="rejected", reason=type(exc).__name__, detail=str(exc))
+        code = EXIT_REJECTED
+    else:
+        report.update(status="ok", results=_case_payload(result))
+        code = EXIT_OK
     _emit(report, args.format)
-    return EXIT_OK
+    return code
 
 
 def cmd_decompose(args) -> int:
@@ -222,26 +218,28 @@ def cmd_lemma_suite(args) -> int:
         raise ParseError(f"--dims must be comma-separated integers, got {args.dims!r}") from exc
     results = _this.run_suite(dims=dims, trials=args.trials, seed=args.seed)
     all_passed = all(result.passed for result in results)
-    if args.format == "json":
-        report = {
-            "command": "lemma-suite",
-            "params": {"dims": dims, "trials": args.trials, "seed": args.seed},
-            "results": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail,
-                 "value": r.value, "threshold": r.threshold} for r in results
-            ],
-            "status": "ok" if all_passed else "failed",
-        }
-        print(cio.render_json(report))
-    else:
-        width = max(len(result.name) for result in results)
-        for result in results:
-            flag = "PASS" if result.passed else "FAIL"
-            print(f"{flag}  {result.name:<{width}}  {result.detail} = {result.value:.3g}"
-                  f" (threshold {result.threshold:g})")
-        print(f"{'all passed' if all_passed else 'FAILURES PRESENT'} "
-              f"({sum(r.passed for r in results)}/{len(results)})")
+    report = {
+        "command": "lemma-suite",
+        "params": {"dims": dims, "trials": args.trials, "seed": args.seed},
+        "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail,
+             "value": r.value, "threshold": r.threshold} for r in results
+        ],
+        "status": "ok" if all_passed else "failed",
+    }
+    _emit(report, args.format, _suite_table)
     return EXIT_OK if all_passed else EXIT_REJECTED
+
+
+def _suite_table(report: dict) -> str:
+    """lemma-suite's text report: one PASS or FAIL line per check, then the count passed."""
+    results = report["results"]
+    width = max(len(r["name"]) for r in results)
+    lines = [f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']:<{width}}  {r['detail']} = "
+             f"{r['value']:.3g} (threshold {r['threshold']:g})" for r in results]
+    passed = sum(r["passed"] for r in results)
+    summary = "all passed" if report["status"] == "ok" else "FAILURES PRESENT"
+    return "\n".join([*lines, f"{summary} ({passed}/{len(results)})"])
 
 
 class _Parser(argparse.ArgumentParser):

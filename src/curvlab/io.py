@@ -15,8 +15,14 @@ that array the load needs O(64 KiB).  Any other layout, and any malformed
 file, goes to the whole-text parse, which gives the same results and
 errors and alone words them, with the whole text in memory (and, for
 schema 1, a list of d^4 floats: about 55 MiB traced at d=32).
-Reports render to either human-readable text or a stable machine-readable
-JSON layout (sorted keys, no timestamps).  ``load_tensor`` and
+Reports are dicts the CLI builds of plain JSON values (dict, list, str,
+int, float, bool), taking numpy results through ``.tolist()`` or
+``float(...)`` where they enter the report.  ``render_json`` is
+``json.dumps(report, indent=2, sort_keys=True)`` and ``render_text`` prints
+one ``key.path: value`` line per leaf.  Neither converts anything: a
+numpy value in a report is a bug that fails loudly, never silently
+converted (``render_json`` raises TypeError on a numpy array, integer or
+bool, and the tests reject a numpy float too).  ``load_tensor`` and
 ``load_samples`` import the curvature and sphere modules when first called,
 so a process that reads only one kind of file loads only one of them.
 """
@@ -360,20 +366,8 @@ def file_digest(path) -> str:
     return sha.hexdigest()
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonable(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
-
-
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def render_text(report: dict) -> str:
@@ -383,13 +377,11 @@ def render_text(report: dict) -> str:
         if isinstance(value, dict):
             for key in sorted(value):
                 emit(f"{prefix}{key}.", value[key])
-        elif isinstance(value, np.ndarray):
-            emit(prefix, value.tolist())
-        elif isinstance(value, list) and value and isinstance(value[0], (list, np.ndarray)):
+        elif isinstance(value, list) and value and isinstance(value[0], list):
             for row_index, row in enumerate(value):
                 emit(f"{prefix}{row_index}.", row)
         else:
-            lines.append(f"{prefix[:-1]}: {_jsonable(value)}")
+            lines.append(f"{prefix[:-1]}: {value}")
 
     emit("", report)
     return "\n".join(lines)

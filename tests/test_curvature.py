@@ -207,8 +207,8 @@ class TestSlabMemory:
             tracemalloc.stop()
 
     def test_generate_peak_below_one_tensor(self, tmp_path, capsys):
-        # generate streams the model's slabs into the writer: the class
-        # table and one slab, not the d^4 array beside the table
+        # generate streams the model's slabs into the base64 writer: one
+        # slab and its text at a time, never the d^4 array
         def generate(dim):
             return cli.main(["generate", "--dim", str(dim), "--kappa", "0.7", "--tau", "1",
                              "--A", "random:5", "--out", str(tmp_path / "t.json")])

@@ -33,7 +33,13 @@ import curvlab.cli as cli
 import curvlab.io as cio
 from curvlab.curvature import ModelSlabs
 from curvlab.io import load_matrix, render_json
-from curvlab.models import block_diagonal_skew, case2_instance, case3_instance, distribution_samples
+from curvlab.models import (
+    block_diagonal_skew,
+    case2_instance,
+    case3_instance,
+    case4_instance,
+    distribution_samples,
+)
 
 from _oracles import (
     oracle_load_tensor,
@@ -233,8 +239,8 @@ class TestTensorWriter:
         _assert_bytes_match_oracle(CurvatureTensor(4, components), tmp_path)
 
     def test_repeat_free_memory_is_one_slab(self, tmp_path):
-        # no magnitude repeats: every entry but the class representatives
-        # misses the class table and is formatted with its chunk
+        # no magnitude repeats; the base64 writer encodes each slab's bytes
+        # as they are, so its peak is one slab and its text whatever the entries
         tensor = CurvatureTensor(32, np.random.default_rng(5).standard_normal((32,) * 4))
         tracemalloc.start()
         try:
@@ -262,7 +268,12 @@ def _expanded_triangle(d, seed):
 
 
 class TestClassTable:
-    """Tensors built from curvature classes, mirrored and signed, write the json encoder's bytes."""
+    """The base64 writer keeps every bit of tensors built from mirrored, signed curvature classes.
+
+    Repeated magnitudes, signed zeros, mirrored entries one ulp apart and
+    non-contiguous views are encoded as they are: the bytes are the json
+    encoder's for the base64 payload.
+    """
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_fewest_classes(self, tmp_path, d):
@@ -746,6 +757,70 @@ class TestInvalidUtf8:
         assert "Traceback" not in result.stderr
 
 
+# a valid file of each kind, which FILE_REJECTS edits one member at a time
+VALID_FILES = {
+    "tensor": lambda: _tensor_payload(build_r1(2).components.ravel().tolist(), 2),
+    "samples": lambda: {"schema_version": 1, "dim": 3,
+                        "entries": [{"s": [0.0, 0.0, 1.0], "tangents": [[1.0, 0.0, 0.0]]}]},
+    "matrix": lambda: {"matrix": standard_complex_structure(2).tolist()},
+}
+FILE_REJECTS = {
+    "tensor-dim-1": ("tensor", {"dim": 1}, "dim must be an integer >= 2, got 1"),
+    "tensor-dim-string": ("tensor", {"dim": "2"}, "dim must be an integer >= 2, got '2'"),
+    "tensor-convention": ("tensor", {"convention": "R[i][j][k][l] = <R(e_i,e_j)e_l, e_k>"},
+                          "convention must be 'R[i][j][k][l] = <R(e_i,e_j)e_k, e_l>'"),
+    "samples-dim": ("samples", {"dim": 1.5}, "dim must be an integer >= 2, got 1.5"),
+    "samples-entries": ("samples", {"entries": {"s": [0.0, 0.0, 1.0]}}, "entries must be a list"),
+    "samples-tangent-width": ("samples", {"entries": [{"s": [0.0, 0.0, 1.0],
+                                                       "tangents": [[1.0, 0.0]]}]},
+                              "entry 0 tangents must be a list of 3-vectors"),
+    "matrix-not-square": ("matrix", {"matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]},
+                          "matrix must be square, got shape (2, 3)"),
+    "matrix-wrong-size": ("matrix", {"matrix": standard_complex_structure(4).tolist()},
+                          "matrix is 4x4, expected 2"),
+    "matrix-ragged": ("matrix", {"matrix": [[0.0, -1.0], [1.0]]}, "matrix: expected numbers"),
+}
+
+
+class TestFileRejects:
+    """A malformed file is a ParseError naming it; the CLI prints it on one line and exits 1."""
+
+    LOADERS = {"tensor": load_tensor, "samples": load_samples,
+               "matrix": lambda path: load_matrix(path, 2)}
+
+    @pytest.mark.parametrize("kind, changes, message", FILE_REJECTS.values(), ids=list(FILE_REJECTS))
+    def test_loader_and_cli(self, tmp_path, capsys, kind, changes, message):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({**VALID_FILES[kind](), **changes}))
+        with pytest.raises(ParseError) as caught:
+            self.LOADERS[kind](path)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == f"{path}: {message}"
+        tensor = tmp_path / "kahler.json"
+        save_tensor(build_model(1.0, 1, standard_complex_structure(2)), tensor)
+        argv = {"tensor": ["decompose", str(path)], "samples": ["fit-distribution", str(path)],
+                "matrix": ["classify", str(tensor), "--J", str(path)]}[kind]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--dim", "4", "--kappa", "1", "--tau", "1", "--A", "random:x"],
+         "invalid random seed in A-spec 'random:x'"),
+        (["lemma-suite", "--dims", "4,x"], "--dims must be comma-separated integers, got '4,x'"),
+    ], ids=["generate-seed", "lemma-suite-dims"])
+    def test_cli_argument(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "t.json"
+        argv = argv + ["--out", str(out)] if argv[0] == "generate" else argv
+        args = cli.build_parser().parse_args(argv)
+        with pytest.raises(ParseError) as caught:
+            args.func(args)
+        assert type(caught.value) is ParseError
+        assert str(caught.value) == message
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 def test_generate_negative_zeros_match_einsum_file(tmp_path):
     # tau = -1 and kappa < 0 leave -0.0 wherever RA vanishes; A has a zero block
     a = np.zeros((6, 6))
@@ -766,7 +841,64 @@ def test_generate_negative_zeros_match_einsum_file(tmp_path):
     assert json.loads(result.stdout)["output"]["sha256"] == expected
 
 
+def _plain(value) -> bool:
+    """Whether ``value`` is built of dict, list, str, int, float and bool alone: no numpy type."""
+    if type(value) is dict:
+        return all(type(key) is str and _plain(item) for key, item in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in (str, int, float, bool)
+
+
+def _saved(directory, tensor) -> str:
+    save_tensor(tensor, directory / "tensor.json")
+    return str(directory / "tensor.json")
+
+
+def _saved_samples(directory) -> str:
+    points = unit_sphere_samples(6, 14, seed=2)[6:]
+    save_samples(distribution_samples(random_skew(6, 1), points), directory / "samples.json")
+    return str(directory / "samples.json")
+
+
+# one request per report layout: each classify case and rejection, and every other command
+REPORT_REQUESTS = {
+    "generate": lambda p: ["generate", "--dim", "4", "--kappa", "0.7", "--tau", "1",
+                           "--A", "random:1", "--out", str(p / "m.json")],
+    "decompose": lambda p: ["decompose", _saved(p, build_model(0.7, 1, random_skew(4, 1)))],
+    "classify-case1": lambda p: ["classify", _saved(p, build_model(2.0, 0, dim=2))],
+    "classify-case2": lambda p: ["classify", _saved(p, case2_instance(0)["tensor"])],
+    "classify-case3": lambda p: ["classify", _saved(p, case3_instance(6, 0.5)["tensor"])],
+    "classify-case4": lambda p: ["classify", _saved(p, case4_instance(6, 0.8, 1)["tensor"])],
+    "classify-NotKahler": lambda p: ["classify", _saved(p, build_r1(4))],
+    "classify-NotAlmostIsotropic": lambda p: ["classify", _saved(
+        p, build_ra(block_diagonal_skew(4, [1.0, 0.0])) + build_ra(block_diagonal_skew(4, [0.0, 2.0])))],
+    "fit-distribution": lambda p: ["fit-distribution", _saved_samples(p)],
+    "lemma-suite": lambda p: ["lemma-suite", "--dims", "3", "--trials", "1"],
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("request_", REPORT_REQUESTS.values(), ids=list(REPORT_REQUESTS))
+    def test_report_holds_plain_json_values(self, tmp_path, monkeypatch, capsys, request_, fmt):
+        # values are plain where they enter the report; nothing converts a numpy value later
+        reports, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, *rest: (reports.append(report),
+                                                                 emit(report, *rest)))
+        code = cli.main([*request_(tmp_path), "--format", fmt])
+        out = capsys.readouterr().out
+        assert len(reports) == 1
+        assert _plain(reports[0])
+        assert code == (2 if reports[0]["status"] == "rejected" else 0)
+        if fmt == "json":
+            assert out == json.dumps(reports[0], indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [np.float64(1.0), np.int64(1), np.bool_(True), np.zeros(2)],
+                             ids=["float64", "int64", "bool", "array"])
+    def test_numpy_value_is_not_plain(self, value):
+        assert not _plain({"results": {"value": value}})
+
     def test_json_layout_stable(self, tmp_path):
         tensor = build_model(1.0, 1, standard_complex_structure(6))
         path = tmp_path / "tensor.json"

@@ -19,7 +19,9 @@ from curvlab import (
     PreconditionViolated,
     Subspace,
     SymmetryViolation,
+    ZeroOperator,
     almost_isotropy_scan,
+    berger_check,
     build_r1,
     build_model,
     classify_kahler,
@@ -27,6 +29,7 @@ from curvlab import (
     random_skew,
     rank_with_tol,
     recover_decomposition,
+    sphere_structure_check,
     standard_complex_structure,
     symmetric_spectrum,
     unit_sphere_samples,
@@ -37,8 +40,9 @@ from curvlab.linalg import (
     require_complex_structure,
     require_orthonormal,
     require_skew,
+    require_tol,
 )
-from curvlab.models import case3_instance
+from curvlab.models import block_diagonal_skew, case3_instance
 
 from _oracles import diagonal_plane_tensor, oracle_canonical_sign_columns
 
@@ -337,3 +341,44 @@ class TestToleranceRejects:
             recover_decomposition(SPLIT_KAPPA)
         assert str(caught.value).startswith("per-sample constants disagree by 4.000e+00")
         assert isinstance(caught.value.__cause__, InconsistentKappa)
+
+
+class TestArgumentRejects:
+    """A malformed library argument raises its typed error, with a message naming what is wrong."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: build_model(1.0, 1, standard_complex_structure(4), dim=6), DimensionMismatch,
+         "operator is 4x4, dim=6"),
+        (lambda: build_r1(3) + build_r1(4), DimensionMismatch,
+         "cannot add tensors of different dimensions"),
+        (lambda: build_r1(3) - build_r1(4), DimensionMismatch,
+         "cannot subtract tensors of different dimensions"),
+        (lambda: berger_check(build_r1(6), np.eye(6)[:3], 0.0, 1.0), NotOrthonormal,
+         "frame must consist of 4 vectors of length 6, got (3, 6)"),
+        (lambda: require_skew(np.zeros((2, 3))), NotSkew,
+         "operator must be a square matrix, got shape (2, 3)"),
+        (lambda: require_complex_structure(np.zeros((2, 3))), PreconditionViolated,
+         "complex structure must be square, got shape (2, 3)"),
+        (lambda: require_complex_structure(np.eye(3)), OddDimension,
+         "complex structure needs even dimension, got 3"),
+        (lambda: require_tol("x"), NonPositiveTolerance, "tolerance must be a number, got 'x'"),
+        (lambda: Subspace(3, np.eye(2)), NonOrthonormalBasis,
+         "basis must have shape (3, k), got (2, 2)"),
+        (lambda: Subspace(3, np.zeros(3)), NonOrthonormalBasis,
+         "basis must have shape (3, k), got (3,)"),
+        (lambda: sphere_structure_check(np.zeros((4, 4)), np.eye(4)[2], np.eye(4)[0], 0.5),
+         ZeroOperator, "structure check requires a nonzero skew operator"),
+    ] + [
+        (lambda t=t: sphere_structure_check(block_diagonal_skew(4, [1.0]), np.eye(4)[2],
+                                            np.eye(4)[0], t),
+         PreconditionViolated, "mixing angle must lie strictly between 0 and pi/2")
+        for t in (0.0, np.pi / 2, -1.0, np.nan)
+    ], ids=["build_model-dim", "add", "subtract", "berger_check-frame", "require_skew-shape",
+            "complex-structure-shape", "complex-structure-odd", "require_tol-string",
+            "Subspace-rows", "Subspace-1d", "structure-zero-operator",
+            "angle-0", "angle-pi/2", "angle-negative", "angle-nan"])
+    def test_typed_error_and_message(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
