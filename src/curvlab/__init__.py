@@ -20,13 +20,13 @@ _MODULE_EXPORTS = {
     "validate_symmetries",
     "errors": "ConventionViolation CurvlabError DimensionMismatch EmptySamples "
     "InconsistentKappa InconsistentTau InputFormatError MathematicalRejection "
-    "NoDominantEigenvalue NonFiniteComponents NonOrthonormalBasis NonPositiveTolerance "
+    "NonFiniteComponents NonOrthonormalBasis NonPositiveTolerance "
     "NotAlmostIsotropic NotKahler NotOrthonormal NotSkew NotUnit NumericalFailure "
     "OddDimension ParseError PreconditionViolated SchemaVersionUnsupported "
     "SignResolutionFailure StructureViolation SymmetryViolation ZeroOperator",
     "io": "load_samples load_tensor save_samples save_tensor",
     "isotropy": "Decomposition IsotropyReport almost_isotropy_scan eigenspace_at "
-    "extremal_curvature kappa_at recover_decomposition",
+    "extremal_curvature recover_decomposition",
     "kahler": "BAnalysis Case1 Case2 Case3 Case4 KahlerClass analyze_b_operator "
     "classify_kahler commute_type einstein_check identity_residuals relations_residuals",
     "linalg": "DEFAULT_TOL Subspace random_skew rank_with_tol standard_complex_structure "

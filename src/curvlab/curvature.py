@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteComponents,
     NotKahler,
     NotOrthonormal,
+    PreconditionViolated,
     SymmetryViolation,
 )
 from .linalg import (
@@ -57,9 +58,9 @@ class CurvatureTensor:
     def __post_init__(self):
         c = np.asarray(self.components, dtype=float)
         if self.dim < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.dim}")
+            raise PreconditionViolated(f"dimension must be at least 2, got {self.dim}")
         if c.shape != (self.dim,) * 4:
-            raise ValueError(
+            raise DimensionMismatch(
                 f"components must have shape {(self.dim,) * 4}, got {c.shape}"
             )
         top, bottom = c.max(), c.min()
@@ -183,10 +184,10 @@ def _model_conventions(kappa: float, tau: int, a, dim: int | None):
     if tau not in (-1, 0, 1):
         raise ConventionViolation(f"tau must be -1, 0, or +1, got {tau!r}")
     if dim is not None and dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
+        raise PreconditionViolated(f"dimension must be at least 2, got {dim}")
     if a is None:
         if dim is None:
-            raise ValueError("either a skew operator or a dimension is required")
+            raise PreconditionViolated("either a skew operator or a dimension is required")
         a = np.zeros((dim, dim))
     a = require_skew(a)
     if dim is not None and a.shape[0] != dim:

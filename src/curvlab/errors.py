@@ -55,10 +55,6 @@ class NotAlmostIsotropic(MathematicalRejection):
     """Some Jacobi operator deviates from kappa*Id by rank above one."""
 
 
-class NoDominantEigenvalue(MathematicalRejection):
-    """No eigenvalue cluster of multiplicity d-2 exists at a sample."""
-
-
 class InconsistentKappa(MathematicalRejection):
     """Per-sample isotropy constants disagree beyond tolerance."""
 

@@ -7,6 +7,9 @@ is what :func:`recover_decomposition` exploits: it reads one anchor
 eigenpair plus polarized slices, taking one column of A from the largest
 deviation at a basis vector and every other column, with a consistent
 sign, from the tensor's slices polarized in that basis vector.
+
+:func:`almost_isotropy_scan` is the one source of kappa: recovery reads it
+from the scan, and the per-sample helpers take it as an argument.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .curvature import CurvatureTensor, _max_abs, _model_conventions, _model_sla
 from .errors import (
     InconsistentKappa,
     InconsistentTau,
-    NoDominantEigenvalue,
     NotAlmostIsotropic,
+    PreconditionViolated,
     SignResolutionFailure,
 )
 from .linalg import (
@@ -53,7 +56,7 @@ class IsotropyReport:
 
     def __post_init__(self):
         if self.is_isotropic and not self.is_almost_isotropic:
-            raise ValueError("isotropic implies almost isotropic")
+            raise PreconditionViolated("isotropic implies almost isotropic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +75,8 @@ class Decomposition:
 
     def __post_init__(self):
         _model_conventions(self.kappa, self.tau, self.skew, None)
-        if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
+        if not self.residual >= 0:  # NaN fails this
+            raise PreconditionViolated(f"residual must be nonnegative, got {self.residual}")
 
 
 def _spectra_on_complement(r: CurvatureTensor, samples) -> tuple[np.ndarray, np.ndarray]:
@@ -104,30 +107,6 @@ def _tightest_windows(spectra: np.ndarray, size: int) -> tuple[np.ndarray, np.nd
     best = np.argmin(widths, axis=1)
     rows = np.arange(spectra.shape[0])
     return windows[rows, best].mean(axis=1), widths[rows, best]
-
-
-def kappa_at(r: CurvatureTensor, s, tol: float = DEFAULT_TOL) -> tuple[float, int]:
-    """Per-sample isotropy constant: the Jacobi eigenvalue of multiplicity >= d-2.
-
-    Returns the clustered eigenvalue and its multiplicity on s-perp.  In
-    dimension 3 a single sample cannot distinguish kappa from the extremal
-    eigenvalue; use :func:`almost_isotropy_scan`, which votes across
-    samples, instead.
-    """
-    if r.dim == 3:
-        raise ValueError(
-            "kappa is ambiguous at a single sample in dimension 3; "
-            "use almost_isotropy_scan"
-        )
-    (eigenvalues,), _ = _spectra_on_complement(r, [s])
-    limit = threshold(tol, eigenvalues)
-    size = max(1, r.dim - 2)
-    centers, widths = _tightest_windows(eigenvalues[None], size)
-    require_within(widths[0], limit, NoDominantEigenvalue,
-                   f"no eigenvalue cluster of size {size}: tightest width")
-    kappa_s = float(centers[0])
-    multiplicity = int(np.sum(np.abs(eigenvalues - kappa_s) <= limit))
-    return kappa_s, multiplicity
 
 
 def _consensus_kappa_d3(spectra: np.ndarray, limit: float) -> float:

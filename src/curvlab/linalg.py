@@ -203,9 +203,9 @@ def unit_sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
     normalized Gaussian draws from ``numpy.random.default_rng(seed)``.
     """
     if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
+        raise PreconditionViolated(f"dimension must be at least 1, got {d}")
     if n < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n}")
+        raise PreconditionViolated(f"sample count must be nonnegative, got {n}")
     out = np.zeros((n, d))
     head = min(n, d)
     out[:head] = np.eye(d)[:head]
@@ -223,9 +223,9 @@ def unit_sphere_samples(d: int, n: int, seed: int = 0) -> np.ndarray:
 def random_skew(d: int, seed: int = 0) -> np.ndarray:
     """Seeded dense skew matrix M - M^T (exactly skew, zero diagonal)."""
     if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+        raise PreconditionViolated(f"dimension must be at least 2, got {d}")
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise PreconditionViolated(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((d, d))
     return m - m.T
@@ -282,7 +282,7 @@ class Subspace:
         mat = np.asarray([np.asarray(v, dtype=float) for v in vectors])
         if mat.size == 0:
             if dim is None:
-                raise ValueError("cannot infer dimension from an empty span")
+                raise DimensionMismatch("cannot infer dimension from an empty span")
             return cls.empty(dim)
         mat = mat.T  # columns are the spanning vectors
         d = mat.shape[0]

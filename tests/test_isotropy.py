@@ -10,7 +10,6 @@ from curvlab import (
     CurvatureTensor,
     InconsistentKappa,
     InconsistentTau,
-    NoDominantEigenvalue,
     NonPositiveTolerance,
     NotAlmostIsotropic,
     NumericalFailure,
@@ -26,7 +25,6 @@ from curvlab import (
     eigenspace_at,
     einstein_check,
     extremal_curvature,
-    kappa_at,
     nullity_space,
     random_skew,
     recover_decomposition,
@@ -80,7 +78,6 @@ def test_bad_tolerance_rejected(entry, tol):
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda tol: kappa_at(build_r1(4), np.eye(4)[0], tol=tol),
         lambda tol: eigenspace_at(build_r1(4), 1.0, np.eye(4)[0], tol=tol),
         lambda tol: nullity_space(build_r1(4), tol=tol),
         lambda tol: null_space(np.eye(3), tol=tol),
@@ -92,7 +89,7 @@ def test_bad_tolerance_rejected(entry, tol):
         lambda tol: sphere_structure_check(block_diagonal_skew(4, [1.0]), np.eye(4)[3],
                                            np.eye(4)[0], 0.5, tol=tol),
     ],
-    ids=["kappa_at", "eigenspace_at", "nullity_space", "null_space", "Subspace.span",
+    ids=["eigenspace_at", "nullity_space", "null_space", "Subspace.span",
          "commute_type", "analyze_b_operator", "einstein_check", "distribution_at",
          "sphere_structure_check"],
 )
@@ -141,31 +138,47 @@ def test_median_bitwise_equals_numpy(size):
     assert np.signbit(_median(values)) == np.signbit(np.median(values))
 
 
-class TestKappaAt:
+class TestScanKappa:
+    """The scan is the one source of kappa, on single-sample cluster inputs too."""
+
     def test_block_model_cluster(self):
         model, _ = block_model_4d()
-        kappa, multiplicity = kappa_at(model, np.eye(4)[0])
-        assert kappa == pytest.approx(1.0, abs=1e-12)
-        assert multiplicity == 2
+        report = almost_isotropy_scan(model)
+        assert report.kappa == pytest.approx(1.0, abs=1e-12)
+        assert report.is_almost_isotropic
 
     def test_r1_full_multiplicity(self):
         for d in (4, 5, 6):
-            kappa, multiplicity = kappa_at(build_r1(d), np.eye(d)[0])
-            assert kappa == pytest.approx(1.0, abs=1e-13)
-            assert multiplicity == d - 1
+            report = almost_isotropy_scan(build_r1(d))
+            assert report.kappa == pytest.approx(1.0, abs=1e-13)
+            assert report.is_isotropic
 
-    def test_broken_cluster_raises(self):
+    def test_broken_cluster_rejected(self):
         # distinct plane curvatures at e1 leave no window of size d-2
         comp = build_r1(4).components + diagonal_plane_tensor(
             4, {(0, 1): 0.5, (0, 2): 1.0}
         )
         tensor = CurvatureTensor(4, comp)
-        with pytest.raises(NoDominantEigenvalue):
-            kappa_at(tensor, np.eye(4)[0])
+        report = almost_isotropy_scan(tensor)
+        assert not report.is_almost_isotropic
+        assert report.worst_rank_residual == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(NotAlmostIsotropic):
+            recover_decomposition(tensor)
 
-    def test_dimension_three_ambiguous(self):
-        with pytest.raises(ValueError):
-            kappa_at(build_r1(3), np.eye(3)[0])
+    def test_cluster_wider_than_sample_threshold_recovers(self):
+        # at e1 the kappa-cluster is 1e-8 wide, above tol times that sample's
+        # spectrum (1e-9) but well inside tol times the whole scan's (3e-5)
+        a = np.zeros((6, 6))
+        a[1:5, 1:5] = block_diagonal_skew(4, [100.0, 60.0])
+        tensor = CurvatureTensor(6, build_model(1.0, 1, a).components + diagonal_plane_tensor(
+            6, {(0, 1): 1e-8, (0, 2): 2e-8}))
+        report = almost_isotropy_scan(tensor)
+        assert report.is_almost_isotropic
+        decomposition = recover_decomposition(tensor)
+        assert decomposition.kappa == pytest.approx(1.0, abs=1e-8)
+        assert decomposition.kappa == report.kappa
+        assert decomposition.tau == 1
+        assert decomposition.residual <= DEFAULT_TOL
 
 
 class TestAlmostIsotropyScan:

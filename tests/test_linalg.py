@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from curvlab import (
     CurvatureTensor,
+    Decomposition,
     DimensionMismatch,
     InconsistentKappa,
+    IsotropyReport,
     NonOrthonormalBasis,
     NonPositiveTolerance,
     NotAlmostIsotropic,
@@ -207,7 +209,7 @@ class TestRandomSkew:
         np.testing.assert_array_equal(random_skew(5, 17), random_skew(5, 17))
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="-5"):
+        with pytest.raises(PreconditionViolated, match="-5"):
             random_skew(4, -5)
 
     @given(seed=st.integers(0, 5_000), d=st.sampled_from([2, 3, 4, 5, 6, 7, 8]))
@@ -373,10 +375,39 @@ class TestArgumentRejects:
                                             np.eye(4)[0], t),
          PreconditionViolated, "mixing angle must lie strictly between 0 and pi/2")
         for t in (0.0, np.pi / 2, -1.0, np.nan)
+    ] + [
+        (lambda: CurvatureTensor(1, np.zeros((1,) * 4)), PreconditionViolated,
+         "dimension must be at least 2, got 1"),
+        (lambda: CurvatureTensor(3, np.zeros((3,) * 3)), DimensionMismatch,
+         "components must have shape (3, 3, 3, 3), got (3, 3, 3)"),
+        (lambda: build_model(1.0, 0, dim=1), PreconditionViolated,
+         "dimension must be at least 2, got 1"),
+        (lambda: build_model(1.0, 0), PreconditionViolated,
+         "either a skew operator or a dimension is required"),
+        (lambda: unit_sphere_samples(0, 3), PreconditionViolated,
+         "dimension must be at least 1, got 0"),
+        (lambda: unit_sphere_samples(3, -1), PreconditionViolated,
+         "sample count must be nonnegative, got -1"),
+        (lambda: random_skew(1), PreconditionViolated, "dimension must be at least 2, got 1"),
+        (lambda: random_skew(4, -5), PreconditionViolated, "seed must be non-negative, got -5"),
+        (lambda: Subspace.span([]), DimensionMismatch,
+         "cannot infer dimension from an empty span"),
+        (lambda: IsotropyReport(kappa=1.0, is_isotropic=True, is_almost_isotropic=False,
+                                worst_rank_residual=0.0, samples_used=12),
+         PreconditionViolated, "isotropic implies almost isotropic"),
+        (lambda: Decomposition(kappa=1.0, tau=0, skew=np.zeros((4, 4)), residual=float("nan")),
+         PreconditionViolated, "residual must be nonnegative, got nan"),
+        (lambda: Decomposition(kappa=1.0, tau=0, skew=np.zeros((4, 4)), residual=-1.0),
+         PreconditionViolated, "residual must be nonnegative, got -1.0"),
     ], ids=["build_model-dim", "add", "subtract", "berger_check-frame", "require_skew-shape",
             "complex-structure-shape", "complex-structure-odd", "require_tol-string",
             "Subspace-rows", "Subspace-1d", "structure-zero-operator",
-            "angle-0", "angle-pi/2", "angle-negative", "angle-nan"])
+            "angle-0", "angle-pi/2", "angle-negative", "angle-nan",
+            "CurvatureTensor-dim", "CurvatureTensor-shape", "build_model-dim-1",
+            "build_model-no-operator", "unit_sphere_samples-dim", "unit_sphere_samples-count",
+            "random_skew-dim", "random_skew-seed", "Subspace.span-empty",
+            "IsotropyReport-isotropic", "Decomposition-residual-nan",
+            "Decomposition-residual-negative"])
     def test_typed_error_and_message(self, call, error, message):
         with pytest.raises(error) as caught:
             call()
