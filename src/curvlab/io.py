@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonFiniteComponents, ParseError, SchemaVersionUnsupported
+from .errors import CurvlabError, NonFiniteComponents, ParseError, SchemaVersionUnsupported
 from .linalg import DEFAULT_TOL, require_tol, threshold
 
 if TYPE_CHECKING:
@@ -339,8 +339,8 @@ def load_samples(path) -> DistributionSamples:
         entries.append((s, tangents))
     try:
         return DistributionSamples.from_raw(dim, entries)
-    except ValueError as exc:
-        raise ParseError(f"{path}: entry {exc.index}: {exc}") from exc
+    except CurvlabError as exc:  # its message names the entry
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_matrix(path, expected_dim: int) -> np.ndarray:

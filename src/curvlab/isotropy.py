@@ -190,7 +190,12 @@ def extremal_curvature(r: CurvatureTensor, kappa: float, s) -> float:
 
 
 def eigenspace_at(r: CurvatureTensor, kappa: float, s, tol: float = DEFAULT_TOL) -> Subspace:
-    """The kappa-eigenspace of the Jacobi operator restricted to s-perp."""
+    """The kappa-eigenspace of the Jacobi operator restricted to s-perp.
+
+    Its cut, ``tol * max(1, max|spectrum at s|, |kappa|)``, is this point's,
+    not the scan's ``max(1, max|all spectra|)``: it can be smaller than the
+    cluster the scan accepted.
+    """
     (eigenvalues,), (vectors,) = _spectra_on_complement(r, [s])
     keep = np.abs(eigenvalues - kappa) <= threshold(tol, np.append(eigenvalues, kappa))
     return Subspace(r.dim, vectors[:, keep])

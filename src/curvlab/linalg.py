@@ -74,11 +74,9 @@ def scale_of(a) -> float:
 def require_unit(v, name: str = "vector") -> np.ndarray:
     """Validate a unit vector, or a stack of unit vectors along the last axis."""
     v = np.asarray(v, dtype=float)
-    norms = np.linalg.norm(np.atleast_1d(v), axis=-1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_TOL))  # a NaN norm fails too
-    if bad.size:
-        norm = float(norms.flat[bad[0]])
-        raise NotUnit(f"{name} has norm {norm!r}, expected 1 within {UNIT_TOL:g}")
+    deviation = np.abs(np.linalg.norm(np.atleast_1d(v), axis=-1) - 1.0)
+    require_within(float(np.max(deviation, initial=0.0)), UNIT_TOL, NotUnit,
+                   f"{name} is not a unit vector: |norm - 1|")
     return v
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import build_model
+from .errors import PreconditionViolated
 from .linalg import Subspace, random_skew, standard_complex_structure, unit_sphere_samples
 from .sphere import DistributionSamples, distribution_at
 
@@ -122,7 +123,7 @@ def case2_instance(seed: int = 0) -> dict:
 def case3_instance(d: int, kappa: float) -> dict:
     """R = kappa (R1 + RJ): constant holomorphic curvature 4 kappa."""
     if kappa == 0:
-        raise ValueError("constant holomorphic case requires kappa != 0")
+        raise PreconditionViolated("constant holomorphic case requires kappa != 0")
     j = standard_complex_structure(d)
     tau = 1 if kappa > 0 else -1
     a = np.sqrt(abs(kappa)) * j
@@ -133,7 +134,7 @@ def case3_instance(d: int, kappa: float) -> dict:
 def case4_instance(d: int, c: float, seed: int = 0) -> dict:
     """R = c R_{J P_W} for a random holomorphic plane W (flat case)."""
     if c == 0:
-        raise ValueError("flat case with c = 0 is the zero tensor; build it directly")
+        raise PreconditionViolated("flat case with c = 0 is the zero tensor; build it directly")
     rng = np.random.default_rng(seed)
     j = standard_complex_structure(d)
     w = holomorphic_plane(j, random_unit(d, rng))
@@ -160,7 +161,7 @@ def block_diagonal_skew(d: int, scales) -> np.ndarray:
     """
     scales = list(scales)
     if 2 * len(scales) > d:
-        raise ValueError("too many blocks for the dimension")
+        raise PreconditionViolated("too many blocks for the dimension")
     a = np.zeros((d, d))
     for idx, scale in enumerate(scales):
         base = 2 * idx

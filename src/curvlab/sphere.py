@@ -8,7 +8,12 @@ circles, reconstructs the projective class [A] from sampled tangent data
 by constrained least squares, and verifies the three-part decomposition of
 D[A] at points mixing kernel and non-kernel directions.  Sampled tangent
 data is checked one entry at a time, so a rejection names the first fault
-of the first faulty entry.
+of the first faulty entry, in a message that starts ``entry <i>: ``: a
+``DimensionMismatch`` (shape), ``NotUnit`` (NaN, inf or off unit length),
+``NotOrthonormal`` (tangent not orthogonal to its base point) or, from
+``from_raw``, ``PreconditionViolated`` (zero vector).  Tolerance rejects
+read ``<what> <value> exceeds <threshold>``; ``io.load_samples`` re-raises
+every reject as ``ParseError`` (CLI exit 1).
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySamples, NotOrthonormal, PreconditionViolated, ZeroOperator
+from .errors import DimensionMismatch, EmptySamples, NotOrthonormal, NotUnit, PreconditionViolated, ZeroOperator
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     _lapack,
+    _require_finite,
     canonical_sign_matrix,
     null_space,
     require_skew,
@@ -36,33 +42,24 @@ _SAMPLE_TOL = 1e-10
 _FIT_BLOCK = 64
 
 
-def _entry(dim: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
-    """One entry as float arrays, checked in order: shape, finite, unit, orthogonal."""
+def _entry(dim: int, index: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
+    """Entry ``index`` as float arrays, checked in order: shape, finite, unit, orthogonal."""
+    where = f"entry {index}: "
     s = np.asarray(s, dtype=float)
     tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
     if s.shape != (dim,):
-        raise ValueError(f"base point has shape {s.shape}, expected ({dim},)")
-    if not (np.isfinite(s).all() and np.isfinite(tangents).all()):
-        raise ValueError("sample data must be finite")
-    if abs(np.linalg.norm(s, axis=0) - 1.0) > _SAMPLE_TOL:
-        raise ValueError("base point is not a unit vector")
-    if np.any(np.abs(np.linalg.norm(tangents, axis=1) - 1.0) > _SAMPLE_TOL):
-        raise ValueError("tangent vectors must be normalized")
-    if np.any(np.abs(np.einsum("ij,j->i", tangents, s)) > _SAMPLE_TOL):
-        raise ValueError("tangent vectors must be orthogonal to the base point")
+        raise DimensionMismatch(f"{where}base point has shape {s.shape}, expected ({dim},)")
+    _require_finite(s, NotUnit, f"{where}sample data")
+    _require_finite(tangents, NotUnit, f"{where}sample data")
+    require_within(float(abs(np.linalg.norm(s, axis=0) - 1.0)), _SAMPLE_TOL, NotUnit,
+                   f"{where}base point is not a unit vector: |norm - 1|")
+    deviation = np.max(np.abs(np.linalg.norm(tangents, axis=1) - 1.0), initial=0.0)
+    require_within(float(deviation), _SAMPLE_TOL, NotUnit,
+                   f"{where}tangent vectors must be normalized: largest |norm - 1|")
+    overlap = np.max(np.abs(np.einsum("ij,j->i", tangents, s)), initial=0.0)
+    require_within(float(overlap), _SAMPLE_TOL, NotOrthonormal,
+                   f"{where}tangent vectors must be orthogonal to the base point: largest overlap")
     return s, tangents
-
-
-def _each_entry(entries, check) -> list:
-    """``check(s, tangents)`` of each entry in order; a ValueError gets the entry's ``index``."""
-    results = []
-    for index, (s, tangents) in enumerate(entries):
-        try:
-            results.append(check(s, tangents))
-        except ValueError as exc:
-            exc.index = index
-            raise
-    return results
 
 
 def _binade_scaled(v: np.ndarray) -> np.ndarray:
@@ -89,7 +86,7 @@ class DistributionSamples:
     _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        entries = _each_entry(self.entries, lambda s, tangents: _entry(self.dim, s, tangents))
+        entries = [_entry(self.dim, index, *entry) for index, entry in enumerate(self.entries)]
         points = np.array([s for s, _ in entries]).reshape(-1, self.dim)
         rows = np.concatenate([np.zeros((0, self.dim)), *(t for _, t in entries)])
         offsets = np.cumsum([0, *(len(t) for _, t in entries)])
@@ -105,21 +102,21 @@ class DistributionSamples:
 
         Zero vectors are rejected in every entry before the constructor checks any.
         """
-        def normalized(s, tangents):
+        def normalized(index, s, tangents):
             # rescaled by a power of two, the squares stay in range; the quotients are unchanged
             s = _binade_scaled(np.asarray(s, dtype=float))
             # squares summed left to right: np.linalg.norm rounds differently and moves the fit
             norm = np.sqrt(np.cumsum(np.append(0.0, s * s))[-1])
             if norm == 0:
-                raise ValueError("base point must be nonzero")
+                raise PreconditionViolated(f"entry {index}: base point must be nonzero")
             tangents = _binade_scaled(np.asarray(tangents, dtype=float).reshape(-1, dim))
             norms = np.linalg.norm(tangents, axis=1)
             if np.any(norms == 0):
-                raise ValueError("tangent vectors must be nonzero")
+                raise PreconditionViolated(f"entry {index}: tangent vectors must be nonzero")
             with np.errstate(invalid="ignore"):  # inf / inf is NaN, which the constructor rejects
                 return s / norm, tangents / norms[:, None]
 
-        return cls(dim, _each_entry(entries, normalized))
+        return cls(dim, [normalized(index, *entry) for index, entry in enumerate(entries)])
 
     @property
     def tangent_count(self) -> int:

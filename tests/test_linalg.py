@@ -17,6 +17,7 @@ from curvlab import (
     NotKahler,
     NotOrthonormal,
     NotSkew,
+    NotUnit,
     OddDimension,
     PreconditionViolated,
     Subspace,
@@ -43,8 +44,9 @@ from curvlab.linalg import (
     require_orthonormal,
     require_skew,
     require_tol,
+    require_unit,
 )
-from curvlab.models import block_diagonal_skew, case3_instance
+from curvlab.models import block_diagonal_skew, case3_instance, case4_instance
 
 from _oracles import diagonal_plane_tensor, oracle_canonical_sign_columns
 
@@ -399,6 +401,16 @@ class TestArgumentRejects:
          PreconditionViolated, "residual must be nonnegative, got nan"),
         (lambda: Decomposition(kappa=1.0, tau=0, skew=np.zeros((4, 4)), residual=-1.0),
          PreconditionViolated, "residual must be nonnegative, got -1.0"),
+        (lambda: case3_instance(4, 0.0), PreconditionViolated,
+         "constant holomorphic case requires kappa != 0"),
+        (lambda: case4_instance(4, 0.0), PreconditionViolated,
+         "flat case with c = 0 is the zero tensor; build it directly"),
+        (lambda: block_diagonal_skew(2, [1.0, 1.0]), PreconditionViolated,
+         "too many blocks for the dimension"),
+        (lambda: require_unit([np.nan, 0.0]), NotUnit,
+         "vector is not a unit vector: |norm - 1| nan exceeds 1.000e-12"),
+        (lambda: require_unit(np.eye(3) * [1.0, 3.0, 1.0], name="rows"), NotUnit,
+         "rows is not a unit vector: |norm - 1| 2.000e+00 exceeds 1.000e-12"),
     ], ids=["build_model-dim", "add", "subtract", "berger_check-frame", "require_skew-shape",
             "complex-structure-shape", "complex-structure-odd", "require_tol-string",
             "Subspace-rows", "Subspace-1d", "structure-zero-operator",
@@ -407,7 +419,8 @@ class TestArgumentRejects:
             "build_model-no-operator", "unit_sphere_samples-dim", "unit_sphere_samples-count",
             "random_skew-dim", "random_skew-seed", "Subspace.span-empty",
             "IsotropyReport-isotropic", "Decomposition-residual-nan",
-            "Decomposition-residual-negative"])
+            "Decomposition-residual-negative", "case3_instance-kappa-0", "case4_instance-c-0",
+            "block_diagonal_skew-blocks", "require_unit-nan", "require_unit-stack"])
     def test_typed_error_and_message(self, call, error, message):
         with pytest.raises(error) as caught:
             call()

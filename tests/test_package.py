@@ -81,16 +81,11 @@ def test_readme_library_example_runs():
     assert result.stdout.splitlines()[0] == "Case3(kappa=-1.0, case=3)"
 
 
-# Where a raw ValueError may still be raised, by module: None allows the
-# whole module.  io.load_samples reads the entry index off sphere's, models
-# builds test and demo instances, and io's three helpers raise signals that
-# io catches itself (the streamed reader falls back to the whole-text parse,
-# and _floats re-raises ParseError).  Everything else raises a CurvlabError.
-RAW_VALUE_ERROR_ALLOWED = {
-    "sphere": None,
-    "models": None,
-    "io": {"_read_numbers", "_read_base64", "_floats"},
-}
+# The functions that may still raise a raw ValueError: only io's three internal
+# signals, which io catches itself (the streamed reader falls back to the
+# whole-text parse, and _floats re-raises ParseError).  Everywhere else the
+# package raises a typed CurvlabError instead.
+RAW_VALUE_ERROR_ALLOWED = {"io": {"_read_numbers", "_read_base64", "_floats"}}
 
 
 def raw_value_error_sites(path):
@@ -117,7 +112,7 @@ def test_raw_value_error_only_where_allowed():
     for path in sorted(Path(curvlab.__file__).parent.glob("*.py")):
         allowed = RAW_VALUE_ERROR_ALLOWED.get(path.stem, set())
         for function, line in raw_value_error_sites(path):
-            if allowed is None or function in allowed:
+            if function in allowed:
                 used.add((path.stem, function))
             else:
                 stray.append(f"{path.name}:{line} in {function}")

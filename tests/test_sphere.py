@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -7,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
+    CurvlabError,
+    DimensionMismatch,
     DistributionSamples,
     EmptySamples,
     NotOrthonormal,
+    NotUnit,
     ParseError,
     PreconditionViolated,
     Subspace,
@@ -23,6 +28,7 @@ from curvlab import (
     tangency_profile,
     unit_sphere_samples,
 )
+from curvlab import cli
 from curvlab.lemmas import line_angle, membership_overlap, structure_angle
 from curvlab.models import (
     block_diagonal_skew,
@@ -81,7 +87,8 @@ def with_fault(index, s=None, tangents=None):
     return entries
 
 
-#: The constructor's messages in the order it checks one entry.
+#: The constructor's checks of one entry, in order, each named by the start of
+#: its message after "entry <i>: "; all but the shape check are tolerance rejects.
 CHECK_ORDER = [
     "base point has shape (4,), expected (3,)",
     "sample data must be finite",
@@ -90,9 +97,16 @@ CHECK_ORDER = [
     "tangent vectors must be orthogonal to the base point",
 ]
 
+#: The error of each check, and of from_raw's zero-vector checks.
+CHECK_ERRORS = {
+    **dict(zip(CHECK_ORDER, [DimensionMismatch, NotUnit, NotUnit, NotUnit, NotOrthonormal])),
+    "base point must be nonzero": PreconditionViolated,
+    "tangent vectors must be nonzero": PreconditionViolated,
+}
+
 #: Faults planted in a base point s, or in one tangent row from s and a unit u
 #: orthogonal to it: (make, the constructor's check it fails, from_raw's zero
-#: message, the constructor's check it fails after from_raw rescales it).
+#: check, the constructor's check it fails after from_raw rescales it).
 POINT_FAULTS = {
     "none": (lambda s: s, None, None, None),
     "shape": (lambda s: [*s, 0.0], 0, None, 0),
@@ -116,21 +130,40 @@ planted_entries = st.lists(
 )
 
 
-def message_of(build, entries):
-    """The message of the ValueError that build(3, entries) raises, or None."""
-    try:
+def assert_reject(exc, index, check):
+    """``exc`` is the error of ``check`` at entry ``index``.
+
+    A tolerance reject ends ``<what> <value> exceeds <threshold>``, with a
+    NaN value or one above the threshold, read as decimals (the float
+    maximum prints as 1.798e+308, which float() reads as inf).
+    """
+    head = f"entry {index}: {check}"
+    assert type(exc) is CHECK_ERRORS[check]
+    assert str(exc).startswith(head)
+    tail = str(exc)[len(head):]
+    assert bool(tail) == (check in CHECK_ORDER[1:]), str(exc)
+    if tail:
+        value, threshold = re.fullmatch(r": .* (\S+) exceeds (\S+)", tail).groups()
+        assert value == "nan" or Decimal(value) > Decimal(threshold)
+
+
+def assert_rejects(build, entries, fault):
+    """build(3, entries) accepts when fault is None, else raises fault = (index, check)."""
+    if fault is None:
         build(3, entries)
-    except ValueError as exc:
-        return str(exc)
-    return None
+        return
+    with pytest.raises(CurvlabError) as caught:
+        build(3, entries)
+    assert_reject(caught.value, *fault)
 
 
-def first_message(messages):
-    return next((message for message in messages if message is not None), None)
+def first_fault(checks):
+    """(index, check) of the first entry with a check, or None."""
+    return next(((index, check) for index, check in enumerate(checks) if check is not None), None)
 
 
 def first_check(*checks):
-    """The message of the check in CHECK_ORDER that comes first among checks, or None."""
+    """The check in CHECK_ORDER that comes first among checks, or None."""
     failed = [check for check in checks if check is not None]
     return CHECK_ORDER[min(failed)] if failed else None
 
@@ -383,15 +416,15 @@ class TestDistributionSamplesValidation:
         assert np.linalg.norm(tangents[0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_non_orthogonal_tangent_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotOrthonormal):
             DistributionSamples.from_raw(3, [([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0]])])
 
     def test_zero_base_point_rejected(self):
-        with pytest.raises(ValueError, match="base point must be nonzero"):
+        with pytest.raises(PreconditionViolated, match="^entry 0: base point must be nonzero$"):
             DistributionSamples.from_raw(3, [([0.0, 0.0, 0.0], [[0.0, 1.0, 0.0]])])
 
     def test_zero_tangent_rejected(self):
-        with pytest.raises(ValueError, match="tangent vectors must be nonzero"):
+        with pytest.raises(PreconditionViolated, match="^entry 0: tangent vectors must be nonzero$"):
             DistributionSamples.from_raw(
                 3, [([1.0, 0.0, 0.0], [[0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])]
             )
@@ -404,7 +437,7 @@ class TestDistributionSamplesValidation:
         assert rows.shape == (0, 3)
 
     @pytest.mark.parametrize(
-        "entries, message",
+        "entries, check",
         [
             (with_fault(1, s=[0.0, 1.0, 0.0, 0.0]), "base point has shape (4,), expected (3,)"),
             (with_fault(1, s=[0.0, float("nan"), 0.0]), "sample data must be finite"),
@@ -415,13 +448,11 @@ class TestDistributionSamplesValidation:
              "tangent vectors must be orthogonal to the base point"),
         ],
     )
-    def test_single_fault_message(self, entries, message):
-        with pytest.raises(ValueError) as caught:
-            DistributionSamples(3, entries)
-        assert str(caught.value) == message
+    def test_single_fault_message(self, entries, check):
+        assert_rejects(DistributionSamples, entries, (1, check))
 
     @pytest.mark.parametrize(
-        "entries, message",
+        "entries, check",
         [
             (with_fault(1, s=[0.0, 0.0, 0.0]), "base point must be nonzero"),
             (with_fault(1, tangents=[[0.0, 0.0, 0.0]]), "tangent vectors must be nonzero"),
@@ -429,13 +460,11 @@ class TestDistributionSamplesValidation:
              "tangent vectors must be orthogonal to the base point"),
         ],
     )
-    def test_from_raw_single_fault_message(self, entries, message):
-        with pytest.raises(ValueError) as caught:
-            DistributionSamples.from_raw(3, entries)
-        assert str(caught.value) == message
+    def test_from_raw_single_fault_message(self, entries, check):
+        assert_rejects(DistributionSamples.from_raw, entries, (1, check))
 
     @pytest.mark.parametrize(
-        "build, entries, message",
+        "build, entries, check",
         [
             # the entry checked first decides, whatever the later entries hold
             (DistributionSamples, [(valid_entries()[0][0], [[1.0, 0.0, 0.0]]),
@@ -451,10 +480,8 @@ class TestDistributionSamplesValidation:
              "base point must be nonzero"),
         ],
     )
-    def test_first_fault_in_entry_order(self, build, entries, message):
-        with pytest.raises(ValueError) as caught:
-            build(3, entries)
-        assert str(caught.value) == message
+    def test_first_fault_in_entry_order(self, build, entries, check):
+        assert_rejects(build, entries, (0, check))
 
     @settings(max_examples=200)
     @given(planted_entries)
@@ -472,9 +499,8 @@ class TestDistributionSamplesValidation:
             made.append(first_check(point[0], row[0]))
             zeros.append(point[1] or row[1])
             raw.append(first_check(point[2], row[2]))
-        assert message_of(DistributionSamples, entries) == first_message(made)
-        assert (message_of(DistributionSamples.from_raw, entries)
-                == (first_message(zeros) or first_message(raw)))
+        assert_rejects(DistributionSamples, entries, first_fault(made))
+        assert_rejects(DistributionSamples.from_raw, entries, first_fault(zeros) or first_fault(raw))
 
 
 class TestLoadSamplesRejections:
@@ -508,13 +534,17 @@ class TestLoadSamplesRejections:
              "tangent vectors must be orthogonal to the base point"),
         ],
     )
-    def test_single_fault_message(self, tmp_path, entries, message):
+    def test_single_fault_message(self, tmp_path, capsys, entries, message):
         path = self.write(tmp_path, entries)
         with pytest.raises(ParseError) as caught:
             load_samples(path)
-        # a DistributionSamples reject is named by its entry like the loader's own faults
-        named = message if message.startswith("entry 1") else f"entry 1: {message}"
-        assert str(caught.value) == f"{path}: {named}"
+        if message.startswith("entry 1"):  # the loader's own parse error
+            assert str(caught.value) == f"{path}: {message}"
+        else:  # a DistributionSamples reject, named by its entry like the loader's own
+            assert_reject(caught.value.__cause__, 1, message)
+            assert str(caught.value) == f"{path}: {caught.value.__cause__}"
+        assert cli.main(["fit-distribution", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {caught.value}\n")
 
     def test_valid_file_loads_normalized(self, tmp_path):
         path = self.write(tmp_path, with_fault(1, s=[0.0, 4.0, 0.0]))
