@@ -5,6 +5,14 @@ Exit codes: 0 success, 1 unreadable or malformed input (usage errors
 included), 2 mathematical rejection (not almost isotropic, not Kahler,
 broken convention or structure) or a numerical failure.  For classify and
 decompose, --tol is the only override of the default tolerance of 1e-9.
+An --A or --J that does not resolve to a skew operator or a complex
+structure (the A-spec J at an odd --dim included) is malformed input.
+
+Each ``cmd_*`` returns its report; ``main`` adds the command name, prints
+it in the one --format every subcommand takes, and exits 0 when its status
+is "ok", else 2.  classify reports the fields of its Case1-Case4 result by
+name, a plane as its basis columns under the name upper-cased (W, W1, W2);
+lemma-suite reports the fields of each CheckResult.
 
 Each subcommand loads only the modules it runs: the library functions in
 ``_LAZY`` are module attributes imported on first use, and the commands
@@ -41,13 +49,14 @@ from .errors import (
     MathematicalRejection,
     NonPositiveTolerance,
     ParseError,
-    PreconditionViolated,
 )
 from .linalg import (
     DEFAULT_TOL,
+    Subspace,
     _lapack,
     random_skew,
     require_complex_structure,
+    require_skew,
     require_tol,
     standard_complex_structure,
 )
@@ -79,20 +88,30 @@ def _resolve_tol(flag_value: float | None) -> float:
         raise ParseError(f"--tol must be a finite positive number, got {flag_value!r}") from exc
 
 
-def _emit(report: dict, fmt: str, render_text=cio.render_text) -> None:
-    """Print ``report``, built of plain JSON values, as JSON or through ``render_text``."""
+def _emit(report: dict, fmt: str) -> None:
+    """Print ``report``, built of plain JSON values, as JSON or as text (lemma-suite: a table)."""
+    render_text = _suite_table if report["command"] == "lemma-suite" else cio.render_text
     print(cio.render_json(report) if fmt == "json" else render_text(report))
 
 
-def _subspace_payload(subspace) -> list:
-    return [column.tolist() for column in subspace.basis.T]
+def _as_input(spec: str, make, *args) -> np.ndarray:
+    """``make(*args)``; a reject makes ``spec`` malformed input, a ParseError that names it."""
+    try:
+        return make(*args)
+    except CurvlabError as exc:
+        raise ParseError(f"{spec}: {exc}") from exc
+
+
+def _matrix_file(path: str, dim: int, require) -> np.ndarray:
+    """The --A or --J matrix file ``path``: a ``dim`` x ``dim`` matrix that passes ``require``."""
+    return _as_input(path, require, cio.load_matrix(path, expected_dim=dim))
 
 
 def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
     if spec == "zero":
         return None
     if spec == "J":
-        return standard_complex_structure(dim)
+        return _as_input(f"A-spec {spec!r}", standard_complex_structure, dim)
     if spec.startswith("random:"):
         try:
             seed = int(spec.split(":", 1)[1])
@@ -101,11 +120,11 @@ def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
         if seed < 0:
             raise ParseError(f"invalid random seed in A-spec {spec!r}")
         return random_skew(dim, seed)
-    return cio.load_matrix(spec, expected_dim=dim)
+    return _matrix_file(spec, dim, require_skew)
 
 
-def cmd_generate(args) -> int:
-    if args.dim < 2:  # before the A-spec, which would report it as a rejection
+def cmd_generate(args) -> dict:
+    if args.dim < 2:  # before the A-spec, so that the message names the dimension
         raise ParseError(f"dimension must be at least 2, got {args.dim}")
     skew = _resolve_skew_spec(args.skew_spec, args.dim)
     model = _this.ModelSlabs(args.kappa, args.tau, skew if np.any(skew) else None, dim=args.dim)
@@ -113,122 +132,74 @@ def cmd_generate(args) -> int:
     singular_top = (float(_lapack(np.linalg.svd, skew, compute_uv=False)[0])
                     if np.any(skew) else 0.0)
     lam_edge = args.kappa + 3.0 * args.tau * singular_top**2
-    report = {
-        "command": "generate",
-        "params": {
-            "dim": args.dim,
-            "kappa": args.kappa,
-            "tau": args.tau,
-            "A": args.skew_spec,
-        },
+    return {
+        "params": {"dim": args.dim, "kappa": args.kappa, "tau": args.tau, "A": args.skew_spec},
         "output": {"path": str(args.out), "sha256": cio.file_digest(args.out)},
         "results": {"lambda_range": sorted([args.kappa, lam_edge])},
         "status": "ok",
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def _case_payload(result) -> dict:
-    if result.case == 1:
-        return {"case": 1, "kappa": result.kappa}
-    if result.case == 2:
-        return {
-            "case": 2,
-            "kappa": result.kappa,
-            "tau": result.tau,
-            "mu1": result.mu1,
-            "mu2": result.mu2,
-            "W1": _subspace_payload(result.w1),
-            "W2": _subspace_payload(result.w2),
-        }
-    if result.case == 3:
-        return {"case": 3, "kappa": result.kappa}
-    return {"case": 4, "c": result.c, "W": _subspace_payload(result.w)}
+    """A Case1-Case4 result's fields; a plane as its basis columns, under its name upper-cased."""
+    payload = {}
+    for name, value in vars(result).items():
+        if isinstance(value, Subspace):
+            name, value = name.upper(), value.basis.T.tolist()
+        payload[name] = value
+    return payload
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     tol = _resolve_tol(args.tol)
     tensor = cio.load_tensor(args.tensor, tol)
-    if args.j_spec == "standard":
-        j = standard_complex_structure(tensor.dim)
-    else:
-        try:
-            j = require_complex_structure(cio.load_matrix(args.j_spec, expected_dim=tensor.dim))
-        except PreconditionViolated as exc:
-            raise ParseError(f"{args.j_spec}: {exc}") from exc
+    j = (standard_complex_structure(tensor.dim) if args.j_spec == "standard"
+         else _matrix_file(args.j_spec, tensor.dim, require_complex_structure))
     report = {
-        "command": "classify",
         "input": {"path": str(args.tensor), "sha256": cio.file_digest(args.tensor)},
         "tolerance": tol,
     }
     try:
         result = _this.classify_kahler(tensor, j, tol)
     except MathematicalRejection as exc:
-        report.update(status="rejected", reason=type(exc).__name__, detail=str(exc))
-        code = EXIT_REJECTED
-    else:
-        report.update(status="ok", results=_case_payload(result))
-        code = EXIT_OK
-    _emit(report, args.format)
-    return code
+        return {**report, "status": "rejected", "reason": type(exc).__name__, "detail": str(exc)}
+    return {**report, "status": "ok", "results": _case_payload(result)}
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     tol = _resolve_tol(args.tol)
     tensor = cio.load_tensor(args.tensor, tol)
     decomposition = _this.recover_decomposition(tensor, tol)
-    report = {
-        "command": "decompose",
+    return {
         "input": {"path": str(args.tensor), "sha256": cio.file_digest(args.tensor)},
         "tolerance": tol,
-        "results": {
-            "kappa": decomposition.kappa,
-            "tau": decomposition.tau,
-            "A": decomposition.skew.tolist(),
-            "residual": decomposition.residual,
-        },
+        "results": {"kappa": decomposition.kappa, "tau": decomposition.tau,
+                    "A": decomposition.skew.tolist(), "residual": decomposition.residual},
         "status": "ok",
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
-def cmd_fit_distribution(args) -> int:
+def cmd_fit_distribution(args) -> dict:
     samples = cio.load_samples(args.samples)
     fit = _this.fit_skew_from_samples(samples)
-    report = {
-        "command": "fit-distribution",
+    return {
         "input": {"path": str(args.samples), "sha256": cio.file_digest(args.samples)},
-        "results": {
-            "A": fit.skew.tolist(),
-            "residual": fit.residual,
-            "gap": fit.gap,
-        },
+        "results": {"A": fit.skew.tolist(), "residual": fit.residual, "gap": fit.gap},
         "status": "ok",
     }
-    _emit(report, args.format)
-    return EXIT_OK
 
 
-def cmd_lemma_suite(args) -> int:
+def cmd_lemma_suite(args) -> dict:
     try:
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
     except ValueError as exc:
         raise ParseError(f"--dims must be comma-separated integers, got {args.dims!r}") from exc
     results = _this.run_suite(dims=dims, trials=args.trials, seed=args.seed)
-    all_passed = all(result.passed for result in results)
-    report = {
-        "command": "lemma-suite",
+    return {
         "params": {"dims": dims, "trials": args.trials, "seed": args.seed},
-        "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail,
-             "value": r.value, "threshold": r.threshold} for r in results
-        ],
-        "status": "ok" if all_passed else "failed",
+        "results": [vars(result) for result in results],
+        "status": "ok" if all(result.passed for result in results) else "failed",
     }
-    _emit(report, args.format, _suite_table)
-    return EXIT_OK if all_passed else EXIT_REJECTED
 
 
 def _suite_table(report: dict) -> str:
@@ -265,44 +236,38 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--A", dest="skew_spec", default="zero",
                      help="'zero', 'J', 'random:SEED', or a path to a matrix JSON file")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--format", choices=("text", "json"), default="text")
-    gen.set_defaults(func=cmd_generate)
 
     cls = sub.add_parser("classify", help="classify a Kahler almost isotropic tensor file")
     cls.add_argument("tensor")
     cls.add_argument("--J", dest="j_spec", default="standard",
                      help="'standard' or a path to a matrix JSON file")
     cls.add_argument("--tol", type=float, default=None)
-    cls.add_argument("--format", choices=("text", "json"), default="text")
-    cls.set_defaults(func=cmd_classify)
 
     dec = sub.add_parser("decompose", help="recover (kappa, tau, A) from a tensor file")
     dec.add_argument("tensor")
     dec.add_argument("--tol", type=float, default=None)
-    dec.add_argument("--format", choices=("text", "json"), default="text")
-    dec.set_defaults(func=cmd_decompose)
 
     fit = sub.add_parser("fit-distribution",
                          help="fit a skew projective class to sampled tangent data")
     fit.add_argument("samples")
-    fit.add_argument("--format", choices=("text", "json"), default="text")
-    fit.set_defaults(func=cmd_fit_distribution)
 
     suite = sub.add_parser("lemma-suite", help="run the seeded structural property suite")
     suite.add_argument("--dims", default="4,6")
     suite.add_argument("--trials", type=int, default=25)
     suite.add_argument("--seed", type=int, default=0)
-    suite.add_argument("--format", choices=("text", "json"), default="text")
-    suite.set_defaults(func=cmd_lemma_suite)
 
+    for name, command in sub.choices.items():
+        command.add_argument("--format", choices=("text", "json"), default="text")
+        command.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        report = {"command": args.subcommand, **args.func(args)}
+        _emit(report, args.format)
+        code = EXIT_OK if report["status"] == "ok" else EXIT_REJECTED
     except (InputFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT

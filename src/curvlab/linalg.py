@@ -61,9 +61,8 @@ def require_within(value, threshold, error, what: str) -> None:
 
 def _require_finite(a: np.ndarray, error, what: str) -> None:
     """Raise ``error`` on a NaN or inf entry of ``a``, before arithmetic can warn on it."""
-    if a.size:
-        require_within(float(np.max(np.abs(a))), np.finfo(float).max, error,
-                       f"{what} must be finite: largest entry")
+    if a.size and not np.isfinite(np.max(np.abs(a))):
+        raise error(f"{what} must be finite (found NaN or inf)")
 
 
 def scale_of(a) -> float:

@@ -9,11 +9,13 @@ by constrained least squares, and verifies the three-part decomposition of
 D[A] at points mixing kernel and non-kernel directions.  Sampled tangent
 data is checked one entry at a time, so a rejection names the first fault
 of the first faulty entry, in a message that starts ``entry <i>: ``: a
-``DimensionMismatch`` (shape), ``NotUnit`` (NaN, inf or off unit length),
-``NotOrthonormal`` (tangent not orthogonal to its base point) or, from
-``from_raw``, ``PreconditionViolated`` (zero vector).  Tolerance rejects
-read ``<what> <value> exceeds <threshold>``; ``io.load_samples`` re-raises
-every reject as ``ParseError`` (CLI exit 1).
+``DimensionMismatch`` (ragged rows, or a base point or tangent array of
+the wrong shape), ``PreconditionViolated`` (anything but numbers, or from
+``from_raw`` a zero vector), ``NotUnit`` (NaN, inf or off unit length) or
+``NotOrthonormal`` (tangent not orthogonal to its base point).  Tolerance
+rejects read ``<what> <value> exceeds <threshold>``, a NaN or inf reads
+``sample data must be finite (found NaN or inf)``; ``io.load_samples``
+re-raises every reject as ``ParseError`` (CLI exit 1).
 """
 
 from __future__ import annotations
@@ -42,13 +44,35 @@ _SAMPLE_TOL = 1e-10
 _FIT_BLOCK = 64
 
 
+def _floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array: ragged rows or anything but numbers raise a typed error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        try:  # a nested list among the cells, or too ragged to hold as cells, is a shape fault
+            ragged = any(np.ndim(cell) for cell in np.asarray(value, dtype=object).flat)
+        except ValueError:
+            ragged = True
+        if ragged:
+            raise DimensionMismatch(f"{what} must have rows of equal length") from exc
+        raise PreconditionViolated(f"{what} must hold only numbers") from exc
+
+
+def _tangent_rows(dim: int, where: str, tangents) -> np.ndarray:
+    """``tangents`` as a (k, dim) float array; [] holds none and a flat list of dim numbers one."""
+    rows = _floats(tangents, f"{where}tangents")
+    if rows.shape not in ((0,), (dim,)) and (rows.ndim != 2 or rows.shape[1] != dim):
+        raise DimensionMismatch(f"{where}tangents have shape {rows.shape}, expected (k, {dim})")
+    return rows.reshape(-1, dim)
+
+
 def _entry(dim: int, index: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
     """Entry ``index`` as float arrays, checked in order: shape, finite, unit, orthogonal."""
     where = f"entry {index}: "
-    s = np.asarray(s, dtype=float)
-    tangents = np.asarray(tangents, dtype=float).reshape(-1, dim)
+    s = _floats(s, f"{where}base point")
     if s.shape != (dim,):
         raise DimensionMismatch(f"{where}base point has shape {s.shape}, expected ({dim},)")
+    tangents = _tangent_rows(dim, where, tangents)
     _require_finite(s, NotUnit, f"{where}sample data")
     _require_finite(tangents, NotUnit, f"{where}sample data")
     require_within(float(abs(np.linalg.norm(s, axis=0) - 1.0)), _SAMPLE_TOL, NotUnit,
@@ -100,19 +124,21 @@ class DistributionSamples:
     def from_raw(cls, dim: int, entries) -> "DistributionSamples":
         """Build from unnormalized data, rescaling base points and tangents.
 
-        Zero vectors are rejected in every entry before the constructor checks any.
+        Every entry is read, and its zero vectors rejected, before the
+        constructor checks any.
         """
         def normalized(index, s, tangents):
+            where = f"entry {index}: "
             # rescaled by a power of two, the squares stay in range; the quotients are unchanged
-            s = _binade_scaled(np.asarray(s, dtype=float))
+            s = _binade_scaled(_floats(s, f"{where}base point"))
             # squares summed left to right: np.linalg.norm rounds differently and moves the fit
             norm = np.sqrt(np.cumsum(np.append(0.0, s * s))[-1])
             if norm == 0:
-                raise PreconditionViolated(f"entry {index}: base point must be nonzero")
-            tangents = _binade_scaled(np.asarray(tangents, dtype=float).reshape(-1, dim))
+                raise PreconditionViolated(f"{where}base point must be nonzero")
+            tangents = _binade_scaled(_tangent_rows(dim, where, tangents))
             norms = np.linalg.norm(tangents, axis=1)
             if np.any(norms == 0):
-                raise PreconditionViolated(f"entry {index}: tangent vectors must be nonzero")
+                raise PreconditionViolated(f"{where}tangent vectors must be nonzero")
             with np.errstate(invalid="ignore"):  # inf / inf is NaN, which the constructor rejects
                 return s / norm, tangents / norms[:, None]
 

@@ -955,7 +955,13 @@ class TestCliContract:
         (["--kappa", "1", "--tau", "1", "--A", "big.json"], 1,
          "error: components must be finite: the model kappa*R1 + tau*RA "
          "overflows the float range"),
-    ], ids=["convention", "kappa-inf", "overflow"])
+        # an --A that is no skew operator is malformed input, like a bad --J
+        (["--kappa", "1", "--tau", "1", "--A", "sym.json"], 1,
+         "error: {tmp_path}/sym.json: operator is not skew symmetric: residual 2.000e+00 "
+         "exceeds 1.000e-12"),
+        (["--dim", "3", "--kappa", "1", "--tau", "1", "--A", "J"], 1,
+         "error: A-spec 'J': standard complex structure needs even d >= 2, got 3"),
+    ], ids=["convention", "kappa-inf", "overflow", "A-not-skew", "A-J-odd-dim"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     def test_generate_rejects_before_writing(self, tmp_path, capsys, args, code, message,
                                              existing):
@@ -963,14 +969,15 @@ class TestCliContract:
         a = np.zeros((4, 4))
         a[0, 1], a[1, 0] = 1e200, -1e200
         (tmp_path / "big.json").write_text(json.dumps({"matrix": a.tolist()}))
-        args = [str(tmp_path / arg) if arg == "big.json" else arg for arg in args]
+        (tmp_path / "sym.json").write_text(json.dumps({"matrix": np.eye(4).tolist()}))
+        args = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in args]
         out = tmp_path / "t.json"
         if existing:
             out.write_bytes(b"earlier bytes\n")
         assert cli.main(["generate", "--dim", "4", *args, "--out", str(out)]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines() == [message]
+        assert captured.err.splitlines() == [message.format(tmp_path=tmp_path)]
         if existing:
             assert out.read_bytes() == b"earlier bytes\n"
         else:
@@ -1046,17 +1053,32 @@ class TestCliContract:
 
     @pytest.mark.parametrize("dim", ["0", "-2", "3"])
     def test_generate_complex_structure_dimension(self, tmp_path, dim):
-        # a dimension below 2 is malformed input, checked before --A J can reject it
+        # a dimension --A J cannot take is malformed input; one below 2 is
+        # reported as such before the A-spec is resolved
         out = tmp_path / "t.json"
         result = run_cli(
             "generate", "--dim", dim, "--kappa", "1", "--tau", "1", "--A", "J", "--out", str(out))
+        assert result.returncode == 1
         if dim == "3":
-            assert result.returncode == 2
-            assert "OddDimension" in result.stderr
+            assert result.stderr == (
+                "error: A-spec 'J': standard complex structure needs even d >= 2, got 3\n")
         else:
-            assert result.returncode == 1
             assert f"dimension must be at least 2, got {dim}" in result.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--dim", "4", "--kappa", "1", "--tau", "0", "--out", "t.json"],
+        ["classify", "t.json"],
+        ["decompose", "t.json"],
+        ["fit-distribution", "s.json"],
+        ["lemma-suite"],
+    ], ids=lambda argv: argv[0])
+    def test_parser_takes_format_and_dispatches(self, argv):
+        parser = cli.build_parser()
+        assert parser.parse_args(argv).format == "text"
+        args = parser.parse_args([*argv, "--format", "json"])
+        assert args.format == "json"
+        assert args.func is getattr(cli, "cmd_" + argv[0].replace("-", "_"))
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1238,6 +1260,16 @@ class TestCliContract:
         j_path.write_text(json.dumps({"matrix": np.eye(4).tolist()}))  # not a complex structure
         result = run_cli("classify", str(tensor_path), "--J", str(j_path))
         assert result.returncode == 1
+
+    def test_classify_with_odd_j_file(self, tmp_path, capsys):
+        # any reject of a --J file is malformed input, an odd dimension included
+        tensor_path = tmp_path / "tensor.json"
+        save_tensor(build_model(1.0, 0, dim=3), tensor_path)
+        j_path = tmp_path / "j.json"
+        j_path.write_text(json.dumps({"matrix": np.eye(3).tolist()}))
+        assert cli.main(["classify", str(tensor_path), "--J", str(j_path)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {j_path}: complex structure needs even dimension, got 3\n")
 
     def test_classify_recovery_failure_exits_two(self, tmp_path):
         # classify re-raises recovery's SignResolutionFailure as StructureViolation

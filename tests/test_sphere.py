@@ -88,7 +88,7 @@ def with_fault(index, s=None, tangents=None):
 
 
 #: The constructor's checks of one entry, in order, each named by the start of
-#: its message after "entry <i>: "; all but the shape check are tolerance rejects.
+#: its message after "entry <i>: "; the last three are tolerance rejects.
 CHECK_ORDER = [
     "base point has shape (4,), expected (3,)",
     "sample data must be finite",
@@ -97,11 +97,22 @@ CHECK_ORDER = [
     "tangent vectors must be orthogonal to the base point",
 ]
 
-#: The error of each check, and of from_raw's zero-vector checks.
+#: Faults in reading an entry, which both constructors reject as they read it,
+#: each named by its whole message after "entry <i>: ".
+READ_FAULTS = {
+    "tangents have shape (1, 2), expected (k, 3)": DimensionMismatch,
+    "tangents have shape (1, 6), expected (k, 3)": DimensionMismatch,
+    "tangents must have rows of equal length": DimensionMismatch,
+    "tangents must hold only numbers": PreconditionViolated,
+    "base point must hold only numbers": PreconditionViolated,
+}
+
+#: The error of each check, of from_raw's zero-vector checks and of each read fault.
 CHECK_ERRORS = {
     **dict(zip(CHECK_ORDER, [DimensionMismatch, NotUnit, NotUnit, NotUnit, NotOrthonormal])),
     "base point must be nonzero": PreconditionViolated,
     "tangent vectors must be nonzero": PreconditionViolated,
+    **READ_FAULTS,
 }
 
 #: Faults planted in a base point s, or in one tangent row from s and a unit u
@@ -133,18 +144,22 @@ planted_entries = st.lists(
 def assert_reject(exc, index, check):
     """``exc`` is the error of ``check`` at entry ``index``.
 
-    A tolerance reject ends ``<what> <value> exceeds <threshold>``, with a
-    NaN value or one above the threshold, read as decimals (the float
-    maximum prints as 1.798e+308, which float() reads as inf).
+    The finiteness reject ends `` (found NaN or inf)``.  A tolerance reject
+    ends ``<what> <value> exceeds <threshold>``, with a value above the
+    threshold, read as decimals: NaN and inf never reach a tolerance check.
+    Every other reject is ``check`` itself.
     """
     head = f"entry {index}: {check}"
     assert type(exc) is CHECK_ERRORS[check]
     assert str(exc).startswith(head)
     tail = str(exc)[len(head):]
-    assert bool(tail) == (check in CHECK_ORDER[1:]), str(exc)
-    if tail:
+    if check == CHECK_ORDER[1]:
+        assert tail == " (found NaN or inf)"
+    elif check in CHECK_ORDER[2:]:
         value, threshold = re.fullmatch(r": .* (\S+) exceeds (\S+)", tail).groups()
-        assert value == "nan" or Decimal(value) > Decimal(threshold)
+        assert Decimal(value) > Decimal(threshold)
+    else:
+        assert tail == "", str(exc)
 
 
 def assert_rejects(build, entries, fault):
@@ -478,6 +493,19 @@ class TestDistributionSamplesValidation:
             # within one entry the base point is checked before the tangents are read
             (DistributionSamples.from_raw, [([0.0, 0.0, 0.0], [1.0, 2.0])],
              "base point must be nonzero"),
+            # an entry that cannot be read as a point and (k, 3) tangents is rejected
+            # as it is read, before any later entry, by both constructors
+            *((build, [(s, tangents), ([0.0, 0.0, 0.0], [])], check)
+              for build in (DistributionSamples, DistributionSamples.from_raw)
+              for s, tangents, check in [
+                  ([1.0, 0.0, 0.0], [[0.0, 1.0]], "tangents have shape (1, 2), expected (k, 3)"),
+                  ([1.0, 0.0, 0.0], [[0, 1, 0, 0, 0, 1]],
+                   "tangents have shape (1, 6), expected (k, 3)"),
+                  ([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 1.0]],
+                   "tangents must have rows of equal length"),
+                  ([1.0, 0.0, 0.0], [[0.0, "a", 0.0]], "tangents must hold only numbers"),
+                  (["a", 0.0, 0.0], [], "base point must hold only numbers"),
+              ]),
         ],
     )
     def test_first_fault_in_entry_order(self, build, entries, check):
