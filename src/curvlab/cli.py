@@ -94,24 +94,16 @@ def _emit(report: dict, fmt: str) -> None:
     print(cio.render_json(report) if fmt == "json" else render_text(report))
 
 
-def _as_input(spec: str, make, *args) -> np.ndarray:
-    """``make(*args)``; a reject makes ``spec`` malformed input, a ParseError that names it."""
-    try:
-        return make(*args)
-    except CurvlabError as exc:
-        raise ParseError(f"{spec}: {exc}") from exc
-
-
 def _matrix_file(path: str, dim: int, require) -> np.ndarray:
     """The --A or --J matrix file ``path``: a ``dim`` x ``dim`` matrix that passes ``require``."""
-    return _as_input(path, require, cio.load_matrix(path, expected_dim=dim))
+    return cio.as_input(path, require, cio.load_matrix(path, expected_dim=dim))
 
 
 def _resolve_skew_spec(spec: str, dim: int) -> np.ndarray | None:
     if spec == "zero":
         return None
     if spec == "J":
-        return _as_input(f"A-spec {spec!r}", standard_complex_structure, dim)
+        return cio.as_input(f"A-spec {spec!r}", standard_complex_structure, dim)
     if spec.startswith("random:"):
         try:
             seed = int(spec.split(":", 1)[1])

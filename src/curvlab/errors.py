@@ -8,9 +8,12 @@ tensor that is not almost isotropic or not Kahler.  ``NumericalFailure``
 reports a numpy routine that failed on well-formed input.  The command
 line maps the first family to exit code 1 and every other package error
 to exit code 2.  Every tolerance reject reads ``<what> <value> exceeds
-<threshold>``.  A bad sample entry raises ``DimensionMismatch``, ``NotUnit``,
-``NotOrthonormal`` or ``PreconditionViolated`` (``sphere`` says which), and
-``io.load_samples`` re-raises it as ``ParseError`` (exit 1).
+<threshold>``.  A number list that holds anything but real numbers (a
+boolean, null, a string, an integer beyond the float range) raises
+``PreconditionViolated``.  A bad sample entry raises ``DimensionMismatch``,
+``NotUnit``, ``NotOrthonormal`` or ``PreconditionViolated`` from the sample
+constructors alone (``sphere`` says which), and ``io.load_samples``
+re-raises it as ``ParseError`` (exit 1).
 """
 
 

@@ -15,6 +15,10 @@ that array the load needs O(64 KiB).  Any other layout, and any malformed
 file, goes to the whole-text parse, which gives the same results and
 errors and alone words them, with the whole text in memory (and, for
 schema 1, a list of d^4 floats: about 55 MiB traced at d=32).
+Number lists have one reader, ``linalg.require_numbers``, which takes
+only real numbers.  ``load_samples`` checks only a samples file's
+structure and leaves its entries to ``DistributionSamples.from_raw``; each
+loader re-raises a reject as a ParseError that starts with the path.
 Reports are dicts the CLI builds of plain JSON values (dict, list, str,
 int, float, bool), taking numpy results through ``.tolist()`` or
 ``float(...)`` where they enter the report.  ``render_json`` is
@@ -34,13 +38,12 @@ import hashlib
 import json
 import os
 from array import array
-from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CurvlabError, NonFiniteComponents, ParseError, SchemaVersionUnsupported
-from .linalg import DEFAULT_TOL, require_tol, threshold
+from .linalg import DEFAULT_TOL, require_numbers, require_tol, threshold
 
 if TYPE_CHECKING:
     from .curvature import CurvatureTensor, ModelSlabs
@@ -60,6 +63,8 @@ def _parse_json(path):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: invalid UTF-8 ({exc})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON (nested too deeply)") from exc
 
 
 def _read_json(path) -> dict:
@@ -184,36 +189,12 @@ def _require_version(data: dict, expected: tuple[int, ...], path) -> int:
     return version
 
 
-def _floats(values, where: str, ndim: int) -> np.ndarray:
-    """A flat JSON number list (ndim 1), or a list of equal-length ones (ndim 2).
-
-    The numbers are converted in one pass by ``array("d")``, which takes only
-    real numbers: strings, null and nested lists raise TypeError, and
-    integers beyond the float range OverflowError.  It takes booleans as the
-    integers 0 and 1, so every list is looked through for them first.  An
-    array the streamed reader made is returned as it is.
-    """
-    if isinstance(values, np.ndarray):
-        return values
+def as_input(name, make, *args):
+    """``make(*args)``; a reject makes ``name`` malformed input, a ParseError that names it."""
     try:
-        flat = values
-        if ndim == 2:
-            if len(set(map(len, values))) > 1:
-                raise ValueError("rows differ in length")
-            flat = list(chain.from_iterable(values))
-        if bool in set(map(type, flat)):
-            raise TypeError("booleans are not numbers")
-        numbers = np.asarray(array("d", flat))
-        return numbers.reshape(len(values), -1) if ndim == 2 and values else numbers
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: expected numbers") from exc
-
-
-def _finite_floats(values, where: str, ndim: int) -> np.ndarray:
-    arr = _floats(values, where, ndim)
-    if not np.isfinite(arr).all():
-        raise ParseError(f"{where}: values must be finite")
-    return arr
+        return make(*args)
+    except CurvlabError as exc:
+        raise ParseError(f"{name}: {exc}") from exc
 
 
 def save_tensor(r: CurvatureTensor | ModelSlabs, path) -> None:
@@ -282,15 +263,12 @@ def load_tensor(path, tol: float = DEFAULT_TOL) -> CurvatureTensor:
     key, other = ("components", "components_base64")[::1 if version == 1 else -1]
     if other in data:
         raise ParseError(f"{path}: schema_version {version} takes {key!r}, not {other!r}")
-    components = data.get(key)
     if version != 1:
-        flat = _base64_floats(components, dim, path)
-    elif not isinstance(components, (list, np.ndarray)) or len(components) != dim**4:
-        raise ParseError(
-            f"{path}: components must be a list of dim^4 = {dim**4} numbers"
-        )
-    else:
-        flat = _floats(components, f"{path}: components", 1)
+        flat = _base64_floats(data.get(key), dim, path)
+    else:  # the streamed reader's array passes through as it is
+        flat = as_input(path, require_numbers, data.get(key, []), "components")
+        if flat.shape != (dim**4,):
+            raise ParseError(f"{path}: components must be a list of dim^4 = {dim**4} numbers")
     try:  # the constructor's max and min find NaN and inf without a d^4 mask
         tensor = CurvatureTensor(dim, flat.reshape((dim,) * 4))
     except NonFiniteComponents as exc:
@@ -314,6 +292,7 @@ def save_samples(samples: DistributionSamples, path) -> None:
 
 
 def load_samples(path) -> DistributionSamples:
+    """Load a samples file; its entries, as JSON gave them, are checked by ``from_raw``."""
     from .sphere import DistributionSamples
 
     data = _read_json(path)
@@ -321,26 +300,14 @@ def load_samples(path) -> DistributionSamples:
     dim = data.get("dim")
     if not isinstance(dim, int) or dim < 2:
         raise ParseError(f"{path}: dim must be an integer >= 2, got {dim!r}")
-    raw_entries = data.get("entries")
-    if not isinstance(raw_entries, list):
+    entries = data.get("entries")
+    if not isinstance(entries, list):
         raise ParseError(f"{path}: entries must be a list")
-    entries = []
-    for index, entry in enumerate(raw_entries):
+    for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "s" not in entry or "tangents" not in entry:
             raise ParseError(f"{path}: entry {index} must have 's' and 'tangents'")
-        s = _finite_floats(entry["s"], f"{path}: entry {index} base point", 1)
-        if s.shape != (dim,):
-            raise ParseError(f"{path}: entry {index} base point has wrong length")
-        tangents = _finite_floats(
-            entry["tangents"], f"{path}: entry {index} tangents", 2
-        ) if entry["tangents"] else np.zeros((0, dim))
-        if tangents.ndim != 2 or tangents.shape[1] != dim:
-            raise ParseError(f"{path}: entry {index} tangents must be a list of {dim}-vectors")
-        entries.append((s, tangents))
-    try:
-        return DistributionSamples.from_raw(dim, entries)
-    except CurvlabError as exc:  # its message names the entry
-        raise ParseError(f"{path}: {exc}") from exc
+    return as_input(path, DistributionSamples.from_raw, dim,
+                    [(entry["s"], entry["tangents"]) for entry in entries])
 
 
 def load_matrix(path, expected_dim: int) -> np.ndarray:
@@ -348,7 +315,8 @@ def load_matrix(path, expected_dim: int) -> np.ndarray:
     data = _parse_json(path)
     if isinstance(data, dict):
         data = data.get("matrix")
-    mat = _finite_floats(data, f"{path}: matrix", 2)
+    # NaN and inf are left to require_skew and require_complex_structure
+    mat = as_input(path, require_numbers, data, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ParseError(f"{path}: matrix must be square, got shape {mat.shape}")
     if mat.shape[0] != expected_dim:

@@ -65,6 +65,38 @@ def _require_finite(a: np.ndarray, error, what: str) -> None:
         raise error(f"{what} must be finite (found NaN or inf)")
 
 
+#: The number types a number list may hold; ``bool`` is an ``int`` but is excluded.
+_REAL = (int, float, np.integer, np.floating)
+
+
+def require_numbers(values, what: str) -> np.ndarray:
+    """``values``, a number or nested lists of numbers as JSON gives them, as a float array.
+
+    The one reader of number lists: sample entries, matrix files and schema
+    1 components all pass through it, and the caller checks the shape and
+    whether the values are finite.  Lists of unequal length side by side
+    raise ``DimensionMismatch``; anything else but a real number (a
+    boolean, None, a string, a list among numbers) and an integer beyond
+    the float range raise ``PreconditionViolated``.  An integer or float
+    array is returned as a float array, without a copy if it is one.
+    """
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
+    try:
+        cells = np.array(values, dtype=object)
+    except ValueError as exc:  # arrays of unequal shapes side by side
+        raise DimensionMismatch(f"{what} must have rows of equal length") from exc
+    kinds = set(map(type, cells.flat))
+    if not all(issubclass(kind, _REAL) and kind is not bool for kind in kinds):
+        if all(issubclass(kind, (list, tuple, np.ndarray)) for kind in kinds):
+            raise DimensionMismatch(f"{what} must have rows of equal length")
+        raise PreconditionViolated(f"{what} must hold only numbers")
+    try:
+        return cells.astype(float)
+    except OverflowError as exc:
+        raise PreconditionViolated(f"{what} must hold only numbers in the float range") from exc
+
+
 def scale_of(a) -> float:
     """max(1, largest absolute entry): the reference for relative tolerances."""
     return max(1.0, float(np.max(np.abs(np.asarray(a, dtype=float)), initial=0.0)))

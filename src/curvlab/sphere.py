@@ -10,12 +10,16 @@ D[A] at points mixing kernel and non-kernel directions.  Sampled tangent
 data is checked one entry at a time, so a rejection names the first fault
 of the first faulty entry, in a message that starts ``entry <i>: ``: a
 ``DimensionMismatch`` (ragged rows, or a base point or tangent array of
-the wrong shape), ``PreconditionViolated`` (anything but numbers, or from
-``from_raw`` a zero vector), ``NotUnit`` (NaN, inf or off unit length) or
-``NotOrthonormal`` (tangent not orthogonal to its base point).  Tolerance
-rejects read ``<what> <value> exceeds <threshold>``, a NaN or inf reads
-``sample data must be finite (found NaN or inf)``; ``io.load_samples``
-re-raises every reject as ``ParseError`` (CLI exit 1).
+the wrong shape), ``PreconditionViolated`` (anything but real numbers: a
+boolean, null, a string or an integer beyond the float range, as
+``linalg.require_numbers`` reads them; or from ``from_raw`` a zero
+vector), ``NotUnit`` (NaN, inf or off unit length) or ``NotOrthonormal``
+(tangent not orthogonal to its base point).  Tolerance rejects read
+``<what> <value> exceeds <threshold>``, a NaN or inf reads ``sample data
+must be finite (found NaN or inf)``.  These constructors are the one home
+of the entry checks: ``io.load_samples`` checks only the file's structure,
+hands the raw entries to ``from_raw`` and re-raises every reject as
+``ParseError`` (CLI exit 1).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .linalg import (
     _require_finite,
     canonical_sign_matrix,
     null_space,
+    require_numbers,
     require_skew,
     require_unit,
     require_within,
@@ -44,23 +49,9 @@ _SAMPLE_TOL = 1e-10
 _FIT_BLOCK = 64
 
 
-def _floats(value, what: str) -> np.ndarray:
-    """``value`` as a float array: ragged rows or anything but numbers raise a typed error."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        try:  # a nested list among the cells, or too ragged to hold as cells, is a shape fault
-            ragged = any(np.ndim(cell) for cell in np.asarray(value, dtype=object).flat)
-        except ValueError:
-            ragged = True
-        if ragged:
-            raise DimensionMismatch(f"{what} must have rows of equal length") from exc
-        raise PreconditionViolated(f"{what} must hold only numbers") from exc
-
-
 def _tangent_rows(dim: int, where: str, tangents) -> np.ndarray:
     """``tangents`` as a (k, dim) float array; [] holds none and a flat list of dim numbers one."""
-    rows = _floats(tangents, f"{where}tangents")
+    rows = require_numbers(tangents, f"{where}tangents")
     if rows.shape not in ((0,), (dim,)) and (rows.ndim != 2 or rows.shape[1] != dim):
         raise DimensionMismatch(f"{where}tangents have shape {rows.shape}, expected (k, {dim})")
     return rows.reshape(-1, dim)
@@ -69,15 +60,17 @@ def _tangent_rows(dim: int, where: str, tangents) -> np.ndarray:
 def _entry(dim: int, index: int, s, tangents) -> tuple[np.ndarray, np.ndarray]:
     """Entry ``index`` as float arrays, checked in order: shape, finite, unit, orthogonal."""
     where = f"entry {index}: "
-    s = _floats(s, f"{where}base point")
+    s = require_numbers(s, f"{where}base point")
     if s.shape != (dim,):
         raise DimensionMismatch(f"{where}base point has shape {s.shape}, expected ({dim},)")
     tangents = _tangent_rows(dim, where, tangents)
     _require_finite(s, NotUnit, f"{where}sample data")
     _require_finite(tangents, NotUnit, f"{where}sample data")
-    require_within(float(abs(np.linalg.norm(s, axis=0) - 1.0)), _SAMPLE_TOL, NotUnit,
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf, off unit length
+        point_norm, norms = np.linalg.norm(s, axis=0), np.linalg.norm(tangents, axis=1)
+    require_within(float(abs(point_norm - 1.0)), _SAMPLE_TOL, NotUnit,
                    f"{where}base point is not a unit vector: |norm - 1|")
-    deviation = np.max(np.abs(np.linalg.norm(tangents, axis=1) - 1.0), initial=0.0)
+    deviation = np.max(np.abs(norms - 1.0), initial=0.0)
     require_within(float(deviation), _SAMPLE_TOL, NotUnit,
                    f"{where}tangent vectors must be normalized: largest |norm - 1|")
     overlap = np.max(np.abs(np.einsum("ij,j->i", tangents, s)), initial=0.0)
@@ -130,7 +123,7 @@ class DistributionSamples:
         def normalized(index, s, tangents):
             where = f"entry {index}: "
             # rescaled by a power of two, the squares stay in range; the quotients are unchanged
-            s = _binade_scaled(_floats(s, f"{where}base point"))
+            s = _binade_scaled(require_numbers(s, f"{where}base point"))
             # squares summed left to right: np.linalg.norm rounds differently and moves the fit
             norm = np.sqrt(np.cumsum(np.append(0.0, s * s))[-1])
             if norm == 0:
@@ -139,10 +132,13 @@ class DistributionSamples:
             norms = np.linalg.norm(tangents, axis=1)
             if np.any(norms == 0):
                 raise PreconditionViolated(f"{where}tangent vectors must be nonzero")
-            with np.errstate(invalid="ignore"):  # inf / inf is NaN, which the constructor rejects
-                return s / norm, tangents / norms[:, None]
+            return s / norm, tangents / norms[:, None]
 
-        return cls(dim, [normalized(index, *entry) for index, entry in enumerate(entries)])
+        # only a vector holding NaN or inf is not rescaled, so only it can overflow or
+        # divide inf by inf; the NaN that leaves is rejected by the constructor
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = [normalized(index, *entry) for index, entry in enumerate(entries)]
+        return cls(dim, entries)
 
     @property
     def tangent_count(self) -> int:

@@ -9,11 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvlab import (
     CurvatureTensor,
+    CurvlabError,
+    DistributionSamples,
     NonPositiveTolerance,
     ParseError,
     SchemaVersionUnsupported,
@@ -696,7 +698,7 @@ def _write_with(tmp_path, kind, bad):
 
 class TestNonNumbersRejected:
     FIELDS = {"tensor": "components", "matrix": "matrix",
-              "base point": "entry 0 base point", "tangents": "entry 0 tangents"}
+              "base point": "entry 0: base point", "tangents": "entry 0: tangents"}
 
     @pytest.mark.parametrize("kind", list(FIELDS))
     @pytest.mark.parametrize("bad", list(NOT_NUMBERS))
@@ -705,13 +707,14 @@ class TestNonNumbersRejected:
         load = {"tensor": load_tensor, "matrix": lambda p: load_matrix(p, 2)}.get(kind, load_samples)
         with pytest.raises(ParseError) as caught:
             load(path)
-        assert str(caught.value) == f"{path}: {self.FIELDS[kind]}: expected numbers"
+        numbers = "numbers in the float range" if bad == "huge" else "numbers"
+        assert str(caught.value) == f"{path}: {self.FIELDS[kind]} must hold only {numbers}"
 
     def test_nested_components_rejected(self, tmp_path):
         path = tmp_path / "tensor.json"
         components = [[x] for x in build_r1(2).components.ravel().tolist()]
         path.write_text(json.dumps(_tensor_payload(components, 2)))
-        with pytest.raises(ParseError, match="components: expected numbers"):
+        with pytest.raises(ParseError, match=r"components must be a list of dim\^4 = 16 numbers"):
             load_tensor(path)
 
     def test_booleans_found_among_other_letters(self, tmp_path):
@@ -732,8 +735,52 @@ class TestNonNumbersRejected:
         else:
             result = run_cli(command, str(path))
         assert result.returncode == 1
-        assert "expected numbers" in result.stderr
+        assert "must hold only numbers in the float range" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+# any JSON value, and rows of two numbers, which reach the shape and value checks
+JSON_NUMBERS = st.integers(-10**400, 10**400) | st.floats()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=2), children, max_size=2)),
+    max_leaves=12,
+)
+JSON_ROWS = st.lists(st.lists(JSON_NUMBERS, min_size=2, max_size=2), max_size=3)
+
+
+class TestAnyJsonValue:
+    """Whatever JSON value a sample entry or a matrix holds, only a package error is raised."""
+
+    @settings(max_examples=100)
+    @given(s=JSON_VALUES | st.lists(JSON_NUMBERS, min_size=2, max_size=2),
+           tangents=JSON_VALUES | JSON_ROWS, matrix=JSON_VALUES | JSON_ROWS)
+    def test_only_package_errors(self, tmp_path_factory, s, tangents, matrix):
+        for build in (DistributionSamples, DistributionSamples.from_raw):
+            try:
+                build(2, [(s, tangents)])
+            except CurvlabError as exc:
+                assert type(exc) is not ParseError
+        directory = tmp_path_factory.mktemp("any")
+        samples_path, matrix_path = directory / "samples.json", directory / "matrix.json"
+        samples_path.write_text(json.dumps({"schema_version": 1, "dim": 2,
+                                            "entries": [{"s": s, "tangents": tangents}]}))
+        matrix_path.write_text(json.dumps({"matrix": matrix}))
+        for load, path in ((load_samples, samples_path), (lambda p: load_matrix(p, 2), matrix_path)):
+            try:
+                load(path)
+            except ParseError as exc:
+                assert str(exc).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("load", [load_tensor, load_samples, lambda p: load_matrix(p, 2)],
+                             ids=["load_tensor", "load_samples", "load_matrix"])
+    def test_nesting_beyond_the_parser(self, tmp_path, load):
+        path = tmp_path / "deep.json"
+        path.write_text('{"matrix": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ParseError) as caught:
+            load(path)
+        assert str(caught.value) == f"{path}: invalid JSON (nested too deeply)"
 
 
 class TestInvalidUtf8:
@@ -773,12 +820,13 @@ FILE_REJECTS = {
     "samples-entries": ("samples", {"entries": {"s": [0.0, 0.0, 1.0]}}, "entries must be a list"),
     "samples-tangent-width": ("samples", {"entries": [{"s": [0.0, 0.0, 1.0],
                                                        "tangents": [[1.0, 0.0]]}]},
-                              "entry 0 tangents must be a list of 3-vectors"),
+                              "entry 0: tangents have shape (1, 2), expected (k, 3)"),
     "matrix-not-square": ("matrix", {"matrix": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]},
                           "matrix must be square, got shape (2, 3)"),
     "matrix-wrong-size": ("matrix", {"matrix": standard_complex_structure(4).tolist()},
                           "matrix is 4x4, expected 2"),
-    "matrix-ragged": ("matrix", {"matrix": [[0.0, -1.0], [1.0]]}, "matrix: expected numbers"),
+    "matrix-ragged": ("matrix", {"matrix": [[0.0, -1.0], [1.0]]},
+                      "matrix must have rows of equal length"),
 }
 
 

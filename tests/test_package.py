@@ -81,11 +81,11 @@ def test_readme_library_example_runs():
     assert result.stdout.splitlines()[0] == "Case3(kappa=-1.0, case=3)"
 
 
-# The functions that may still raise a raw ValueError: only io's three internal
+# The functions that may still raise a raw ValueError: only io's two internal
 # signals, which io catches itself (the streamed reader falls back to the
-# whole-text parse, and _floats re-raises ParseError).  Everywhere else the
-# package raises a typed CurvlabError instead.
-RAW_VALUE_ERROR_ALLOWED = {"io": {"_read_numbers", "_read_base64", "_floats"}}
+# whole-text parse).  Everywhere else the package raises a typed CurvlabError
+# instead; the one number-list reader, linalg.require_numbers, raises none.
+RAW_VALUE_ERROR_ALLOWED = {"io": {"_read_numbers", "_read_base64"}}
 
 
 def raw_value_error_sites(path):

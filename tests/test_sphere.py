@@ -97,22 +97,30 @@ CHECK_ORDER = [
     "tangent vectors must be orthogonal to the base point",
 ]
 
-#: Faults in reading an entry, which both constructors reject as they read it,
-#: each named by its whole message after "entry <i>: ".
-READ_FAULTS = {
-    "tangents have shape (1, 2), expected (k, 3)": DimensionMismatch,
-    "tangents have shape (1, 6), expected (k, 3)": DimensionMismatch,
-    "tangents must have rows of equal length": DimensionMismatch,
-    "tangents must hold only numbers": PreconditionViolated,
-    "base point must hold only numbers": PreconditionViolated,
-}
+#: Faults in reading an entry, which both constructors reject as they read it:
+#: (base point, tangents, the error, its whole message after "entry <i>: ").
+#: The boolean and null would read as 1.0 and NaN, were they taken as numbers.
+READ_FAULTS = [
+    ([1.0, 0.0, 0.0], [[0.0, 1.0]], DimensionMismatch, "tangents have shape (1, 2), expected (k, 3)"),
+    ([1.0, 0.0, 0.0], [[0, 1, 0, 0, 0, 1]], DimensionMismatch,
+     "tangents have shape (1, 6), expected (k, 3)"),
+    ([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 1.0]], DimensionMismatch,
+     "tangents must have rows of equal length"),
+    ([1.0, 0.0, 0.0], [[0.0, "a", 0.0]], PreconditionViolated, "tangents must hold only numbers"),
+    (["a", 0.0, 0.0], [], PreconditionViolated, "base point must hold only numbers"),
+    ([10**400, 0, 0], [[0.0, 1.0, 0.0]], PreconditionViolated,
+     "base point must hold only numbers in the float range"),
+    ([True, 0, 0], [[0.0, 1.0, 0.0]], PreconditionViolated, "base point must hold only numbers"),
+    ([None, 0, 0], [[0.0, 1.0, 0.0]], PreconditionViolated, "base point must hold only numbers"),
+]
 
 #: The error of each check, of from_raw's zero-vector checks and of each read fault.
 CHECK_ERRORS = {
     **dict(zip(CHECK_ORDER, [DimensionMismatch, NotUnit, NotUnit, NotUnit, NotOrthonormal])),
+    "base point has shape (2,), expected (3,)": DimensionMismatch,
     "base point must be nonzero": PreconditionViolated,
     "tangent vectors must be nonzero": PreconditionViolated,
-    **READ_FAULTS,
+    **{message: error for *_, error, message in READ_FAULTS},
 }
 
 #: Faults planted in a base point s, or in one tangent row from s and a unit u
@@ -497,15 +505,7 @@ class TestDistributionSamplesValidation:
             # as it is read, before any later entry, by both constructors
             *((build, [(s, tangents), ([0.0, 0.0, 0.0], [])], check)
               for build in (DistributionSamples, DistributionSamples.from_raw)
-              for s, tangents, check in [
-                  ([1.0, 0.0, 0.0], [[0.0, 1.0]], "tangents have shape (1, 2), expected (k, 3)"),
-                  ([1.0, 0.0, 0.0], [[0, 1, 0, 0, 0, 1]],
-                   "tangents have shape (1, 6), expected (k, 3)"),
-                  ([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0], [0.0, 1.0]],
-                   "tangents must have rows of equal length"),
-                  ([1.0, 0.0, 0.0], [[0.0, "a", 0.0]], "tangents must hold only numbers"),
-                  (["a", 0.0, 0.0], [], "base point must hold only numbers"),
-              ]),
+              for s, tangents, _, check in READ_FAULTS),
         ],
     )
     def test_first_fault_in_entry_order(self, build, entries, check):
@@ -531,6 +531,22 @@ class TestDistributionSamplesValidation:
         assert_rejects(DistributionSamples.from_raw, entries, first_fault(zeros) or first_fault(raw))
 
 
+#: One fault planted in entry 1 of valid_entries(), which JSON keeps as it is.
+SAMPLE_FILE_FAULTS = {
+    "string": with_fault(1, s=[0.0, "1.0", 0.0]),
+    "bool": with_fault(1, s=[0.0, True, 0.0]),
+    "null": with_fault(1, tangents=[[None, 0.0, 0.0]]),
+    "nested": with_fault(1, s=[0.0, [1.0], 0.0]),
+    "ragged": with_fault(1, tangents=[[1.0, 0.0, 0.0], [0.0, 0.0]]),
+    "short row": with_fault(1, tangents=[[1.0, 0.0]]),
+    "huge int": with_fault(1, s=[0, 10**400, 0]),
+    "nan": with_fault(1, tangents=[[float("nan"), 0.0, 0.0]]),
+    "inf": with_fault(1, s=[0.0, float("inf"), 0.0]),
+    "zero vector": with_fault(1, tangents=[[0.0, 0.0, 0.0]]),
+    "oblique tangent": with_fault(1, tangents=[[1.0, 1.0, 0.0]]),
+}
+
+
 class TestLoadSamplesRejections:
     @staticmethod
     def write(tmp_path, entries):
@@ -550,12 +566,11 @@ class TestLoadSamplesRejections:
         "entries, message",
         [
             (valid_entries()[:1] + ["x"], "entry 1 must have 's' and 'tangents'"),
-            (with_fault(1, s=["a", 1.0, 0.0]), "entry 1 base point: expected numbers"),
-            (with_fault(1, s=[0.0, float("nan"), 0.0]), "entry 1 base point: values must be finite"),
-            (with_fault(1, s=[0.0, 1.0]), "entry 1 base point has wrong length"),
-            (with_fault(1, tangents=[[1.0, "a", 0.0]]), "entry 1 tangents: expected numbers"),
-            (with_fault(1, tangents=[[float("inf"), 0.0, 0.0]]),
-             "entry 1 tangents: values must be finite"),
+            (with_fault(1, s=["a", 1.0, 0.0]), "base point must hold only numbers"),
+            (with_fault(1, s=[0.0, float("nan"), 0.0]), "sample data must be finite"),
+            (with_fault(1, s=[0.0, 1.0]), "base point has shape (2,), expected (3,)"),
+            (with_fault(1, tangents=[[1.0, "a", 0.0]]), "tangents must hold only numbers"),
+            (with_fault(1, tangents=[[float("inf"), 0.0, 0.0]]), "sample data must be finite"),
             (with_fault(1, s=[0.0, 0.0, 0.0]), "base point must be nonzero"),
             (with_fault(1, tangents=[[0.0, 0.0, 0.0]]), "tangent vectors must be nonzero"),
             (with_fault(1, tangents=[[0.0, 2.0, 0.0]]),
@@ -566,13 +581,24 @@ class TestLoadSamplesRejections:
         path = self.write(tmp_path, entries)
         with pytest.raises(ParseError) as caught:
             load_samples(path)
-        if message.startswith("entry 1"):  # the loader's own parse error
+        if message.startswith("entry 1"):  # the loader's own check of the file's structure
             assert str(caught.value) == f"{path}: {message}"
-        else:  # a DistributionSamples reject, named by its entry like the loader's own
+        else:  # a DistributionSamples reject, named by its entry
             assert_reject(caught.value.__cause__, 1, message)
             assert str(caught.value) == f"{path}: {caught.value.__cause__}"
         assert cli.main(["fit-distribution", str(path)]) == 1
         assert capsys.readouterr() == ("", f"error: {caught.value}\n")
+
+    @pytest.mark.parametrize("entries", SAMPLE_FILE_FAULTS.values(), ids=list(SAMPLE_FILE_FAULTS))
+    def test_entry_checks_have_one_home(self, tmp_path, entries):
+        # the loader reports what from_raw reports on the same Python lists
+        with pytest.raises(CurvlabError) as direct:
+            DistributionSamples.from_raw(3, entries)
+        with pytest.raises(ParseError) as loaded:
+            load_samples(self.write(tmp_path, entries))
+        cause = loaded.value.__cause__
+        assert (type(cause), str(cause)) == (type(direct.value), str(direct.value))
+        assert str(loaded.value) == f"{tmp_path / 'samples.json'}: {cause}"
 
     def test_valid_file_loads_normalized(self, tmp_path):
         path = self.write(tmp_path, with_fault(1, s=[0.0, 4.0, 0.0]))
